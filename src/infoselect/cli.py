@@ -12,6 +12,7 @@ from .errors import InfoselectError, NumericalError
 from .harness import (
     EVAL_SOURCES,
     SELECT_METHODS,
+    _FIELD_KEYS,
     cmd_correlate,
     cmd_score,
     cmd_select,
@@ -79,34 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "seed": "seed",
-    "head": "head",
-    "classes": "classes",
-    "dim": "dim",
-    "n": "n",
-    "class_sep": "class_sep",
-    "lam": "lambda",
-    "train_size": "train_size",
-    "pool_size": "pool_size",
-    "eval_size": "eval_size",
-    "eval_source": "eval_source",
-    "methods": "methods",
-    "mc_samples": "mc_samples",
-    "method": "method",
-    "batch_size": "batch_size",
-    "rounds": "rounds",
-    "data": "data",
-    "model": "model",
-    "out": "out",
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Each flag's argparse dest is its ExperimentConfig attribute name.
     overrides = {
         key: getattr(args, attr)
-        for attr, key in _CONFIG_KEYS.items()
+        for key, attr in _FIELD_KEYS.items()
         if getattr(args, attr) is not None
     }
     try:

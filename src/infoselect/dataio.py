@@ -60,6 +60,10 @@ def load_csv(path) -> Dataset:
                     f"cell ({r},{c}) is not numeric: {cell!r}", row=r, col=c
                 ) from None
             if c < d:
+                if not np.isfinite(value):
+                    raise NonNumericCell(
+                        f"cell ({r},{c}) is not finite: {cell!r}", row=r, col=c
+                    )
                 features[r, c] = value
             else:
                 if not np.isfinite(value):

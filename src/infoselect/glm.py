@@ -25,7 +25,7 @@ from .errors import (
     LabelOutOfRange,
     MissingLabels,
 )
-from .linalg import PsdMatrix, kron, solve_psd
+from .linalg import PsdMatrix, solve_psd
 
 # Predictive probabilities are clamped to this band before any log.
 PROB_FLOOR = 1e-12
@@ -128,25 +128,39 @@ class Head:
     def curvature(self, logits: np.ndarray) -> np.ndarray:
         """C x C Hessian of the log normalizer at the given logits.
 
-        Gaussian: [[1]]. Categorical: diag(pi) - pi pi^T.
+        Gaussian: [[1]]. Categorical: diag(pi) - pi pi^T. Leading axes of
+        logits are batch axes: logits of shape (..., C) give (..., C, C).
         """
+        z = np.asarray(logits, dtype=float)
         if self.kind == GAUSSIAN:
-            return np.ones((1, 1))
-        pi = self.predictive(logits)
-        return np.diag(pi) - np.outer(pi, pi)
+            return np.ones(z.shape[:-1] + (1, 1))
+        pi = self.predictive(z)[..., :, None]
+        return pi * np.eye(self.num_outputs) - pi * np.swapaxes(pi, -1, -2)
+
+    def validate_labels(self, labels) -> np.ndarray:
+        """Check labels against the head; returns them as a vector.
+
+        Gaussian labels must be finite and come back as floats; categorical
+        labels must be integers in [0, C) and come back as int64. Raises
+        LabelOutOfRange naming the first label that fails.
+        """
+        y = np.asarray(labels, dtype=float).reshape(-1)
+        if self.kind == GAUSSIAN:
+            ok = np.isfinite(y)
+        else:
+            ok = (y == np.floor(y)) & (y >= 0) & (y < self.num_outputs)
+        if not ok.all():
+            bad = np.asarray(labels).reshape(-1)[np.argmin(ok)]
+            if self.kind == GAUSSIAN:
+                raise LabelOutOfRange(f"gaussian label must be finite, got {bad}")
+            raise LabelOutOfRange(
+                f"label {bad!r} outside [0, {self.num_outputs}) for categorical head"
+            )
+        return y if self.kind == GAUSSIAN else y.astype(np.int64)
 
     def validate_label(self, y):
-        if self.kind == GAUSSIAN:
-            y = float(y)
-            if not np.isfinite(y):
-                raise LabelOutOfRange(f"gaussian label must be finite, got {y}")
-            return y
-        yi = int(y)
-        if yi != y or not 0 <= yi < self.num_outputs:
-            raise LabelOutOfRange(
-                f"label {y!r} outside [0, {self.num_outputs}) for categorical head"
-            )
-        return yi
+        """validate_labels for one label, returned as a Python scalar."""
+        return self.validate_labels([y])[0].item()
 
     def sample_label(self, logits: np.ndarray, rng: np.random.Generator):
         """Draw one label from the predictive distribution at the logits."""
@@ -255,33 +269,32 @@ def score_jacobian(model: GlmModel, x, y) -> np.ndarray:
 def observed_information(model: GlmModel, x, y=None) -> PsdMatrix:
     """Hessian of the nll in the flattened weights: d2A(z) (x) x x^T.
 
-    The label argument is accepted for signature symmetry but the result
-    does not depend on it (it is validated when given).
+    The curvature does not depend on the label, so this is the Fisher
+    information at x; the label, when given, is only validated.
     """
-    x = _check_features(model, x)
     if y is not None:
         model.head.validate_label(y)
-    lam = model.head.curvature(model.weights.T @ x)
-    return PsdMatrix(kron(lam, np.outer(x, x)))
+    return fisher_information(model, x)
 
 
 def fisher_information(model: GlmModel, x) -> PsdMatrix:
-    """Label-averaged curvature at x; equals observed_information here."""
-    x = _check_features(model, x)
-    lam = model.head.curvature(model.weights.T @ x)
-    return PsdMatrix(kron(lam, np.outer(x, x)))
+    """Fisher information d2A(z) (x) x x^T of the single input x."""
+    return fisher_batch(model, _check_features(model, x)[None, :])
 
 
 def fisher_batch(model: GlmModel, xs) -> PsdMatrix:
-    """Sum of per-sample Fisher information over the rows of xs."""
+    """Sum of per-sample Fisher information over the rows of xs.
+
+    This is the one place that forms sum_n d2A(z_n) (x) x_n x_n^T; every
+    curvature in the package is built here.
+    """
     xs = np.asarray(xs, dtype=float)
     k = model.num_weights
     if xs.size == 0:
         return PsdMatrix.zeros(k)
     if xs.ndim != 2 or xs.shape[1] != model.dim:
         raise DimensionMismatch(f"batch shape {xs.shape}, expected (n, {model.dim})")
-    zs = xs @ model.weights
-    lams = np.stack([model.head.curvature(z) for z in zs])
+    lams = model.head.curvature(xs @ model.weights)
     total = np.einsum("ncd,ni,nj->cidj", lams, xs, xs).reshape(k, k)
     return PsdMatrix(total)
 
@@ -295,21 +308,32 @@ class FitInfo:
 
 
 def _map_objective(model, data, lam):
-    total = sum(nll(model, x, y) for x, y in zip(data.features, data.labels))
-    return total + 0.5 * lam * float(model.flat_weights() @ model.flat_weights())
+    """sum_n nll(x_n, y_n) + (lam / 2) ||w||^2; the labels are pre-validated."""
+    z = data.features @ model.weights
+    y = data.labels
+    if model.head.kind == GAUSSIAN:
+        nlls = 0.5 * (y - z[:, 0]) ** 2 + HALF_LOG_TWO_PI
+    else:
+        picked = z[np.arange(data.n), y.astype(np.int64)]
+        nlls = scipy.special.logsumexp(z, axis=1) - picked
+    w = model.flat_weights()
+    return float(np.sum(nlls)) + 0.5 * lam * float(w @ w)
 
 
 def _map_gradient(model, data, lam):
-    g = lam * model.flat_weights()
-    for x, y in zip(data.features, data.labels):
-        g += score_jacobian(model, x, y)
-    return g
+    """lam w + sum_n score_jacobian(x_n, y_n); the labels are pre-validated."""
+    z = data.features @ model.weights
+    y = data.labels
+    if model.head.kind == GAUSSIAN:
+        resid = z - y[:, None]
+    else:
+        resid = model.head.predictive(z)
+        resid[np.arange(data.n), y.astype(np.int64)] -= 1.0
+    return lam * model.flat_weights() + (resid.T @ data.features).reshape(-1)
 
 
 def _map_curvature(model, data, lam):
-    k = model.num_weights
-    h = fisher_batch(model, data.features).values + lam * np.eye(k)
-    return h
+    return fisher_batch(model, data.features).values + lam * np.eye(model.num_weights)
 
 
 def map_fit(
@@ -334,9 +358,7 @@ def map_fit(
         raise ValueError("need at least one observation")
     if prior_precision <= 0.0:
         raise ValueError("prior precision must be positive")
-    labels = data.require_labels()
-    for y in labels:
-        head.validate_label(y)
+    head.validate_labels(data.require_labels())
 
     lam = float(prior_precision)
     model = GlmModel(head, np.zeros((data.dim, head.num_outputs)))

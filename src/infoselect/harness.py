@@ -70,6 +70,9 @@ SCORE_ORIENTATIONS: dict[str, str] = {
     "grand": MAXIMIZE,
 }
 
+# Prediction-space methods whose Monte Carlo estimators enumerate classes.
+CATEGORICAL_ONLY_METHODS = ("bald_pred", "epig_pred")
+
 DEFAULT_METHODS = (
     "bald_pred",
     "epig_pred",
@@ -189,7 +192,7 @@ class ExperimentConfig:
         require(self.dim >= 1, "dim must be >= 1")
         require(self.n >= 1, "n must be >= 1")
         require(self.class_sep >= 0.0, "class_sep must be >= 0")
-        require(self.lam >= 0.0, "lambda must be >= 0")
+        require(self.lam > 0.0, "lambda must be > 0")
         require(self.train_size >= 1, "train_size must be >= 1")
         require(self.pool_size >= 0, "pool_size must be >= 0")
         require(self.eval_size >= 0, "eval_size must be >= 0")
@@ -209,6 +212,16 @@ class ExperimentConfig:
             self.method in SELECT_METHODS,
             f"unknown selection method {self.method!r}",
         )
+        if self.head == GAUSSIAN:
+            categorical_only = [
+                name
+                for name in (*self.methods, self.method)
+                if name.removeprefix("top_k_") in CATEGORICAL_ONLY_METHODS
+            ]
+            require(
+                not categorical_only,
+                f"{', '.join(categorical_only)} need a categorical head",
+            )
         require(self.batch_size >= 0, "batch_size must be >= 0")
         require(self.rounds >= 0, "rounds must be >= 0")
 
@@ -319,6 +332,9 @@ class ScoreTable:
         if header[:1] != ["index"]:
             raise ConfigError(f"score table {path}: header must start with 'index'")
         names = header[1:]
+        unknown = [n for n in names if n not in SCORE_ORIENTATIONS]
+        if unknown:
+            raise ConfigError(f"score table {path}: unknown columns {unknown}")
         indices = []
         cols: list[list[float]] = [[] for _ in names]
         for ln in lines[1:]:
@@ -329,7 +345,7 @@ class ScoreTable:
         return cls(
             indices=tuple(indices),
             columns={n: np.asarray(c, dtype=float) for n, c in zip(names, cols)},
-            orientations={n: SCORE_ORIENTATIONS.get(n, MAXIMIZE) for n in names},
+            orientations={n: SCORE_ORIENTATIONS[n] for n in names},
         )
 
     def to_json(self, path):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch
-from .glm import Dataset, GlmModel, observed_information, _map_gradient
+from .glm import Dataset, GlmModel, _map_curvature, _map_gradient
 from .linalg import PsdMatrix, _cholesky_jittered, chol_logdet
 
 # Entropy of a k-dimensional standard normal is k/2 * log(2 pi e); this is
@@ -58,23 +58,21 @@ def build_posterior(
 ) -> GaussianPosterior:
     """Accumulate training curvature around the fitted weights.
 
-    precision = sum_i observed_information(x_i, y_i) + lam * I. An empty
-    training set leaves the prior alone. Emits a warning when the supplied
-    weights are not a stationary point of the MAP objective, since the
-    quadratic expansion is only meaningful at the mode.
+    precision = sum_i observed_information(x_i, y_i) + lam * I, the same
+    matrix the MAP fit's Newton step uses. An empty training set leaves the
+    prior alone. Emits a warning when the supplied weights are not a
+    stationary point of the MAP objective, since the quadratic expansion is
+    only meaningful at the mode.
     """
     if prior_precision < 0.0:
         raise ValueError("prior precision must be nonnegative")
-    k = model.num_weights
-    precision = prior_precision * np.eye(k)
     if train.n > 0:
         labels = train.require_labels()
         if train.dim != model.dim:
             raise DimensionMismatch(
                 f"training dim {train.dim} against model dim {model.dim}"
             )
-        for x, y in zip(train.features, labels):
-            precision = precision + observed_information(model, x, y).values
+        model.head.validate_labels(labels)
         grad_norm = float(np.max(np.abs(_map_gradient(model, train, prior_precision))))
         if grad_norm > MODE_GRAD_WARN:
             warnings.warn(
@@ -84,7 +82,7 @@ def build_posterior(
             )
     return GaussianPosterior(
         mode=model.flat_weights(),
-        precision=PsdMatrix(precision),
+        precision=PsdMatrix(_map_curvature(model, train, prior_precision)),
         prior_precision=float(prior_precision),
     )
 

@@ -20,15 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, EmptyEvalSet, EmptySampleSet
-from .glm import (
-    Dataset,
-    GlmModel,
-    fisher_batch,
-    fisher_information,
-    observed_information,
-    score_jacobian,
-)
-from .linalg import PsdMatrix, _cholesky_jittered, chol_logdet
+from .glm import Dataset, GlmModel, fisher_batch, fisher_information, score_jacobian
+from .linalg import _cholesky_jittered, chol_logdet
 from .posterior import LOG_TWO_PI_E, GaussianPosterior
 
 
@@ -43,9 +36,9 @@ class ScorePair:
 class Scorer:
     """Binds a fitted model to its posterior and caches the factorization.
 
-    The precision Cholesky factor and log determinant are computed once at
-    construction; scoring calls reuse them. Instances are immutable, so
-    concurrent scoring of disjoint candidate sets needs no coordination.
+    The precision Cholesky factor is computed once at construction; scoring
+    calls reuse it. Instances are immutable, so concurrent scoring of
+    disjoint candidate sets needs no coordination.
     """
 
     def __init__(self, model: GlmModel, posterior: GaussianPosterior):
@@ -58,36 +51,43 @@ class Scorer:
         self.posterior = posterior
         self._prec = posterior.precision.values
         self._prec_factor, _ = _cholesky_jittered(self._prec)
-        self._prec_logdet = float(
-            2.0 * np.sum(np.log(np.diagonal(self._prec_factor)))
-        )
 
     @property
     def num_weights(self) -> int:
         return self.model.num_weights
 
-    def solve_precision(self, b) -> np.ndarray:
-        """P^-1 b through the cached factor."""
-        return scipy.linalg.cho_solve((self._prec_factor, True), np.asarray(b))
 
-    @property
-    def precision_logdet(self) -> float:
-        return self._prec_logdet
+def logdet_ratio(term: np.ndarray, base: np.ndarray, base_factor: np.ndarray) -> float:
+    """1/2 [logdet(term + base) - logdet(base)], the log-det form of every score.
+
+    base_factor is the lower Cholesky factor of base, which callers already
+    hold; only term + base is factorized here.
+    """
+    base_logdet = float(2.0 * np.sum(np.log(np.diagonal(base_factor))))
+    return 0.5 * (chol_logdet(term + base) - base_logdet)
 
 
-def _as_pairs(cands):
-    """Normalize labeled candidates: a labeled Dataset or (x, y) pairs."""
+def trace_ratio(term: np.ndarray, base_factor: np.ndarray) -> float:
+    """1/2 tr(base^-1 term), the trace form of every score."""
+    return 0.5 * float(np.trace(scipy.linalg.cho_solve((base_factor, True), term)))
+
+
+def _labeled_features(model: GlmModel, cands) -> np.ndarray:
+    """Feature rows of a labeled Dataset or (x, y) pairs, labels validated."""
     if isinstance(cands, Dataset):
-        return list(zip(cands.features, cands.require_labels()))
-    return [(np.asarray(x, dtype=float), y) for x, y in cands]
+        xs, ys = cands.features, cands.require_labels()
+    else:
+        pairs = list(cands)
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    model.head.validate_labels(ys)
+    return np.asarray(xs, dtype=float)
 
 
-def _observed_sum(model: GlmModel, pairs) -> np.ndarray:
-    k = model.num_weights
-    total = np.zeros((k, k))
-    for x, y in pairs:
-        total += observed_information(model, x, y).values
-    return total
+def _eig_pair(s: Scorer, cand_term: np.ndarray) -> ScorePair:
+    return ScorePair(
+        logdet_ratio(cand_term, s._prec, s._prec_factor),
+        trace_ratio(cand_term, s._prec_factor),
+    )
 
 
 def eig_score(s: Scorer, cand_xs) -> ScorePair:
@@ -100,25 +100,16 @@ def eig_score(s: Scorer, cand_xs) -> ScorePair:
     xs = np.asarray(cand_xs, dtype=float)
     if xs.size == 0:
         return ScorePair(0.0, 0.0)
-    f = fisher_batch(s.model, xs).values
-    logdet = 0.5 * (chol_logdet(f + s._prec) - s.precision_logdet)
-    trace = 0.5 * float(np.trace(s.solve_precision(f)))
-    return ScorePair(logdet, trace)
+    return _eig_pair(s, fisher_batch(s.model, xs).values)
 
 
 def ig_score(s: Scorer, cands) -> ScorePair:
     """Information gain of the given labeled batch (maximize).
 
-    Same formulas as eig_score with observed information in place of the
-    Fisher; the two coincide for this model family.
+    The observed information equals the Fisher for this model family, so
+    this is eig_score on the candidates' features once their labels check.
     """
-    pairs = _as_pairs(cands)
-    if not pairs:
-        return ScorePair(0.0, 0.0)
-    h = _observed_sum(s.model, pairs)
-    logdet = 0.5 * (chol_logdet(h + s._prec) - s.precision_logdet)
-    trace = 0.5 * float(np.trace(s.solve_precision(h)))
-    return ScorePair(logdet, trace)
+    return eig_score(s, _labeled_features(s.model, cands))
 
 
 def conditional_entropy_proxy(s: Scorer, cand_xs) -> float:
@@ -128,14 +119,13 @@ def conditional_entropy_proxy(s: Scorer, cand_xs) -> float:
     by a batch-independent constant, so argmax rankings agree. Higher means
     a tighter posterior once the batch is labeled.
     """
-    xs = np.asarray(cand_xs, dtype=float)
-    k = s.num_weights
-    f = fisher_batch(s.model, xs).values if xs.size else np.zeros((k, k))
-    return 0.5 * chol_logdet(f + s._prec) - 0.5 * k * LOG_TWO_PI_E
+    f = fisher_batch(s.model, np.asarray(cand_xs, dtype=float)).values
+    return 0.5 * chol_logdet(f + s._prec) - 0.5 * s.num_weights * LOG_TWO_PI_E
 
 
-def _eval_fisher(s: Scorer, eval_xs, reduce: str) -> np.ndarray:
-    xs = np.asarray(eval_xs, dtype=float)
+def eval_fisher(s: Scorer, eval_xs, reduce: str) -> np.ndarray:
+    """Eval-set Fisher of the transductive scores: "mean" or "sum" over rows."""
+    xs = np.asarray([] if eval_xs is None else eval_xs, dtype=float)
     if xs.size == 0:
         raise EmptyEvalSet("transductive score needs at least one eval point")
     total = fisher_batch(s.model, xs).values
@@ -154,20 +144,15 @@ def _transductive_pair(s: Scorer, cand_term: np.ndarray, eval_term: np.ndarray) 
     """
     q = cand_term + s._prec
     q_factor, _ = _cholesky_jittered(q)
-    q_logdet = float(2.0 * np.sum(np.log(np.diagonal(q_factor))))
-    logdet = 0.5 * (chol_logdet(eval_term + q) - q_logdet)
-    trace = 0.5 * float(
-        np.trace(scipy.linalg.cho_solve((q_factor, True), eval_term))
+    return ScorePair(
+        logdet_ratio(eval_term, q, q_factor), trace_ratio(eval_term, q_factor)
     )
-    return ScorePair(logdet, trace)
 
 
 def epig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
     """Expected transductive proxy, eval Fisher averaged (minimize)."""
-    eval_term = _eval_fisher(s, eval_xs, "mean")
-    xs = np.asarray(cand_xs, dtype=float)
-    k = s.num_weights
-    cand_term = fisher_batch(s.model, xs).values if xs.size else np.zeros((k, k))
+    eval_term = eval_fisher(s, eval_xs, "mean")
+    cand_term = fisher_batch(s.model, np.asarray(cand_xs, dtype=float)).values
     return _transductive_pair(s, cand_term, eval_term)
 
 
@@ -177,90 +162,63 @@ def jepig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
     The trace variant is exactly M times the epig trace for M eval points;
     the log-det variants genuinely differ for M >= 2.
     """
-    eval_term = _eval_fisher(s, eval_xs, "sum")
-    xs = np.asarray(cand_xs, dtype=float)
-    k = s.num_weights
-    cand_term = fisher_batch(s.model, xs).values if xs.size else np.zeros((k, k))
+    eval_term = eval_fisher(s, eval_xs, "sum")
+    cand_term = fisher_batch(s.model, np.asarray(cand_xs, dtype=float)).values
     return _transductive_pair(s, cand_term, eval_term)
-
-
-def _observed_eval(s: Scorer, eval_pairs, reduce: str) -> np.ndarray:
-    pairs = _as_pairs(eval_pairs)
-    if not pairs:
-        raise EmptyEvalSet("transductive score needs at least one eval point")
-    total = _observed_sum(s.model, pairs)
-    if reduce == "mean":
-        return total / len(pairs)
-    return total
 
 
 def pig_score(s: Scorer, cands, eval_pairs) -> ScorePair:
     """Labeled counterpart of epig_score (minimize).
 
-    Observed information replaces the Fisher on both sides; for this model
-    family the result equals epig_score on the same inputs.
+    Observed information equals the Fisher for this model family, so this
+    is epig_score on the features once every label checks.
     """
-    eval_term = _observed_eval(s, eval_pairs, "mean")
-    cand_term = _observed_sum(s.model, _as_pairs(cands))
-    return _transductive_pair(s, cand_term, eval_term)
+    eval_xs = _labeled_features(s.model, eval_pairs)
+    return epig_score(s, _labeled_features(s.model, cands), eval_xs)
 
 
 def jpig_score(s: Scorer, cands, eval_pairs) -> ScorePair:
     """Labeled counterpart of jepig_score (minimize)."""
-    eval_term = _observed_eval(s, eval_pairs, "sum")
-    cand_term = _observed_sum(s.model, _as_pairs(cands))
-    return _transductive_pair(s, cand_term, eval_term)
+    eval_xs = _labeled_features(s.model, eval_pairs)
+    return jepig_score(s, _labeled_features(s.model, cands), eval_xs)
 
 
 def eig_pool_scores(s: Scorer, pool_xs) -> list[ScorePair]:
     """eig_score of each pool candidate alone, sharing the cached factor."""
-    out = []
-    for x in np.atleast_2d(np.asarray(pool_xs, dtype=float)):
-        f = fisher_information(s.model, x).values
-        logdet = 0.5 * (chol_logdet(f + s._prec) - s.precision_logdet)
-        trace = 0.5 * float(np.trace(s.solve_precision(f)))
-        out.append(ScorePair(logdet, trace))
-    return out
+    return [
+        _eig_pair(s, fisher_information(s.model, x).values)
+        for x in np.atleast_2d(np.asarray(pool_xs, dtype=float))
+    ]
 
 
 def _transductive_pool(s: Scorer, pool_xs, eval_term) -> list[ScorePair]:
-    out = []
-    for x in np.atleast_2d(np.asarray(pool_xs, dtype=float)):
-        f = fisher_information(s.model, x).values
-        out.append(_transductive_pair(s, f, eval_term))
-    return out
+    return [
+        _transductive_pair(s, fisher_information(s.model, x).values, eval_term)
+        for x in np.atleast_2d(np.asarray(pool_xs, dtype=float))
+    ]
 
 
 def epig_pool_scores(s: Scorer, pool_xs, eval_xs) -> list[ScorePair]:
     """epig_score of each pool candidate; the eval Fisher is built once."""
-    return _transductive_pool(s, pool_xs, _eval_fisher(s, eval_xs, "mean"))
+    return _transductive_pool(s, pool_xs, eval_fisher(s, eval_xs, "mean"))
 
 
 def jepig_pool_scores(s: Scorer, pool_xs, eval_xs) -> list[ScorePair]:
     """jepig_score of each pool candidate; the eval Fisher is built once."""
-    return _transductive_pool(s, pool_xs, _eval_fisher(s, eval_xs, "sum"))
+    return _transductive_pool(s, pool_xs, eval_fisher(s, eval_xs, "sum"))
 
 
 def egl_score(s: Scorer, x) -> float:
     """Expected squared gradient norm under the predictive distribution.
 
-    Computed by exact summation over classes (never sampled); equals the
-    trace of the Fisher information at x. Maximize.
+    The label-averaged squared score is the trace of the Fisher at x,
+    ||x||^2 tr d2A(z), exact for both heads (never sampled). Maximize.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (s.model.dim,):
         raise DimensionMismatch(f"feature shape {x.shape}, expected ({s.model.dim},)")
-    head = s.model.head
-    if head.kind == "gaussian":
-        # E[(z - y)^2] = 1 under the model, so the expectation collapses
-        # to the Fisher trace ||x||^2 without any enumeration.
-        return float(x @ x)
-    pi = head.predictive(s.model.weights.T @ x)
-    total = 0.0
-    for y in range(head.num_outputs):
-        j = score_jacobian(s.model, x, y)
-        total += float(pi[y]) * float(j @ j)
-    return total
+    lam = s.model.head.curvature(s.model.weights.T @ x)
+    return float(x @ x) * float(np.trace(lam))
 
 
 def grand_score(s: Scorer, x, y, weight_samples) -> float:

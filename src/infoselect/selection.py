@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
-from .errors import BatchTooLarge, EmptyEvalSet, TooManySubsets
+from .errors import BatchTooLarge, TooManySubsets
 from .glm import fisher_information
-from .linalg import _cholesky_jittered, chol_logdet
-from .scores import Scorer
+from .linalg import _cholesky_jittered
+from .scores import Scorer, eval_fisher, logdet_ratio, trace_ratio
 from .similarity import JacobianDataMatrix
 
 MAXIMIZE = "maximize"
@@ -75,19 +74,13 @@ class _BatchObjective:
             fisher_information(scorer.model, x).values for x in pool
         ]
         self.objective = objective
-        k = scorer.num_weights
         if objective == "eig":
             self.orientation = MAXIMIZE
             self.eval_term = None
         elif objective in ("epig", "jepig"):
             self.orientation = MINIMIZE
-            xs = np.asarray(eval_xs, dtype=float) if eval_xs is not None else None
-            if xs is None or xs.size == 0:
-                raise EmptyEvalSet(f"{objective} objective needs eval points")
-            total = np.zeros((k, k))
-            for x in xs:
-                total += fisher_information(scorer.model, x).values
-            self.eval_term = total / xs.shape[0] if objective == "epig" else total
+            reduce = "mean" if objective == "epig" else "sum"
+            self.eval_term = eval_fisher(scorer, eval_xs, reduce)
         else:
             raise ValueError(f"unknown objective {objective!r}")
 
@@ -98,11 +91,10 @@ class _BatchObjective:
     def value(self, f_batch: np.ndarray) -> float:
         s = self.scorer
         if self.objective == "eig":
-            return 0.5 * (chol_logdet(f_batch + s._prec) - s.precision_logdet)
+            return logdet_ratio(f_batch, s._prec, s._prec_factor)
         q = f_batch + s._prec
         q_factor, _ = _cholesky_jittered(q)
-        q_logdet = float(2.0 * np.sum(np.log(np.diagonal(q_factor))))
-        return 0.5 * (chol_logdet(self.eval_term + q) - q_logdet)
+        return logdet_ratio(self.eval_term, q, q_factor)
 
     def better(self, candidate: float, incumbent: float) -> bool:
         if self.orientation == MAXIMIZE:
@@ -149,9 +141,9 @@ def greedy_logdet(
 
 
 def _trace_objective(scorer: Scorer, eval_term: np.ndarray, f_batch: np.ndarray) -> float:
-    q = f_batch + scorer._prec
-    q_factor, _ = _cholesky_jittered(q)
-    return float(np.trace(scipy.linalg.cho_solve((q_factor, True), eval_term)))
+    # BAIT ranks on tr((F_batch + P)^-1 F_eval) itself, twice the score's half.
+    q_factor, _ = _cholesky_jittered(f_batch + scorer._prec)
+    return 2.0 * trace_ratio(eval_term, q_factor)
 
 
 def bait_forward_backward(
@@ -170,14 +162,8 @@ def bait_forward_backward(
         raise BatchTooLarge(
             f"forward width {width} from a pool of {pool.shape[0]}"
         )
-    xs = np.asarray(eval_xs, dtype=float)
-    if xs.size == 0:
-        raise EmptyEvalSet("bait needs eval points")
+    eval_term = eval_fisher(s, eval_xs, "mean")
     kdim = s.num_weights
-    eval_term = np.zeros((kdim, kdim))
-    for x in xs:
-        eval_term += fisher_information(s.model, x).values
-    eval_term /= xs.shape[0]
 
     fishers = [fisher_information(s.model, x).values for x in pool]
     chosen: list[int] = []

@@ -20,6 +20,8 @@ from infoselect.glm import (
     observed_information,
     predictive,
     score_jacobian,
+    _map_gradient,
+    _map_objective,
 )
 
 
@@ -236,6 +238,26 @@ def test_fisher_batch_is_sum_of_singles():
 
 # ---------------------------------------------------------------------------
 # MAP fitting
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_map_objective_and_gradient_match_per_row_sums(kind):
+    # oracle: the per-row nll and score_jacobian sums the fit minimizes
+    rng = np.random.default_rng(13)
+    m = random_model(rng, d=3, c=4, kind=kind)
+    xs = rng.standard_normal((25, 3))
+    if kind == "categorical":
+        ys = rng.integers(0, 4, size=25)
+    else:
+        ys = rng.standard_normal(25)
+    data, lam, w = Dataset(xs, ys), 0.7, m.flat_weights()
+    want_value = sum(nll(m, x, y) for x, y in zip(xs, ys)) + 0.5 * lam * w @ w
+    want_grad = lam * w + sum(score_jacobian(m, x, y) for x, y in zip(xs, ys))
+    assert _map_objective(m, data, lam) == pytest.approx(want_value, rel=1e-10)
+    scale = np.max(np.abs(want_grad))
+    np.testing.assert_allclose(
+        _map_gradient(m, data, lam), want_grad, rtol=1e-10, atol=1e-10 * scale
+    )
 
 
 def test_map_fit_closed_form_ridge():

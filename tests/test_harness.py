@@ -105,10 +105,11 @@ def test_load_csv_malformed_inputs(tmp_path):
 
 def test_load_csv_non_numeric_cell_is_located(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("f0,f1,y\n1.0,2.0,0\n1.0,oops,1\n")
-    with pytest.raises(NonNumericCell) as e:
-        load_csv(p)
-    assert e.value.row == 1 and e.value.col == 1
+    for bad in ("oops", "nan", "-inf"):
+        p.write_text(f"f0,f1,y\n1.0,2.0,0\n1.0,{bad},1\n")
+        with pytest.raises(NonNumericCell) as e:
+            load_csv(p)
+        assert e.value.row == 1 and e.value.col == 1
 
 
 def test_load_csv_rejects_non_finite_labels(tmp_path):
@@ -196,6 +197,9 @@ def test_config_rejects_unknown_fields():
         {"methods": ()},
         {"method": "mystery"},
         {"head": "poisson"},
+        {"lam": 0.0},
+        {"head": "gaussian"},
+        {"head": "gaussian", "methods": ("eig_logdet",), "method": "top_k_epig_pred"},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):
@@ -292,10 +296,11 @@ def test_score_table_checks_and_orientation():
     np.testing.assert_array_equal(t.oriented("epig_logdet"), [-1.0, 2.0])
 
 
-def test_score_table_unknown_column_defaults_to_maximize(tmp_path):
+def test_score_table_rejects_unknown_column(tmp_path):
     p = tmp_path / "s.csv"
-    p.write_text("index,mystery\n0,1.5\n")
-    assert ScoreTable.from_csv(p).orientations["mystery"] == "maximize"
+    p.write_text("index,epig_logdet_typo\n0,1.5\n")
+    with pytest.raises(ConfigError):
+        ScoreTable.from_csv(p)
     p.write_text("rank,mystery\n0,1.5\n")
     with pytest.raises(ConfigError):
         ScoreTable.from_csv(p)
@@ -549,6 +554,17 @@ def test_cli_config_and_io_errors_exit_one(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "missing.json")]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+    non_finite = tmp_path / "non_finite.csv"
+    non_finite.write_text("f0,f1,y\n1.0,2.0,0\n1.0,nan,1\n")
+    for argv in (
+        ["train", "--lambda", "0"],
+        ["score", "--head", "gaussian"],
+        ["train", "--data", str(non_finite)],
+    ):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "error" in err
 
 
 def test_cli_numerical_failures_exit_two(monkeypatch, capsys):

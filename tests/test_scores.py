@@ -10,6 +10,7 @@ from infoselect.glm import (
     GlmModel,
     Head,
     fisher_batch,
+    predictive,
     score_jacobian,
 )
 from infoselect.linalg import PsdMatrix
@@ -252,6 +253,15 @@ def test_egl_equals_fisher_trace():
     for x in data.features[:10]:
         want = float(np.trace(fisher_batch(model, x[None, :]).values))
         assert egl_score(s, x) == pytest.approx(want, abs=1e-10)
+
+
+def test_egl_matches_class_enumeration():
+    # oracle: sum_y pi_y ||score_jacobian(x, y)||^2 over every class
+    data, model, _, s = fitted_setup(seed=18)
+    for x in data.features[:10]:
+        js = [score_jacobian(model, x, y) for y in range(model.num_outputs)]
+        want = sum(p * float(j @ j) for p, j in zip(predictive(model, x), js))
+        assert egl_score(s, x) == pytest.approx(want, rel=1e-10)
 
 
 def test_egl_gaussian_is_squared_norm():
