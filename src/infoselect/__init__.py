@@ -115,6 +115,7 @@ from .harness import (
     cmd_train,
     compute_scores,
     correlation_matrix,
+    default_methods,
     load_config,
     load_model,
     make_splits,

@@ -294,9 +294,36 @@ def fisher_batch(model: GlmModel, xs) -> PsdMatrix:
         return PsdMatrix.zeros(k)
     if xs.ndim != 2 or xs.shape[1] != model.dim:
         raise DimensionMismatch(f"batch shape {xs.shape}, expected (n, {model.dim})")
-    lams = model.head.curvature(xs @ model.weights)
-    total = np.einsum("ncd,ni,nj->cidj", lams, xs, xs).reshape(k, k)
+    n, c, d = xs.shape[0], model.num_outputs, model.dim
+    lams = model.head.curvature(xs @ model.weights).reshape(n, c * c)
+    outers = (xs[:, :, None] * xs[:, None, :]).reshape(n, d * d)
+    # One BLAS product sums over rows; entry (c1 c2, i j) moves to (c1 D + i, c2 D + j).
+    total = (lams.T @ outers).reshape(c, c, d, d).transpose(0, 2, 1, 3).reshape(k, k)
     return PsdMatrix(total)
+
+
+def candidate_projection(model: GlmModel, xs, a) -> np.ndarray:
+    """U_n^T A U_n for every row x_n of xs, an (n, C, C) stack.
+
+    U_n = I_C (x) x_n is the k x C factor of the row's Fisher,
+    F_n = U_n d2A(z_n) U_n^T, so a per-row log-det or trace against the
+    k x k matrix A reduces to C x C algebra on this stack.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n, c, d = xs.shape[0], model.num_outputs, model.dim
+    a = np.asarray(a, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != d or a.shape != (c * d, c * d):
+        raise DimensionMismatch(
+            f"rows {xs.shape} and matrix {a.shape} for D={d}, C={c}"
+        )
+    blocks = a.reshape(c, d, c * d)
+    out = np.empty((n, c, c))
+    # One output class at a time keeps the temporary at n x C x D.
+    for c1 in range(c):
+        # rows[n, c2 D + j] = sum_i x_ni A[c1 D + i, c2 D + j]
+        rows = (xs @ blocks[c1]).reshape(n, c, d)
+        out[:, c1, :] = (rows @ xs[:, :, None])[..., 0]
+    return out
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,14 @@ DEFAULT_METHODS = (
     "eig_logdet_sim",
 )
 
+
+def default_methods(head: str) -> tuple[str, ...]:
+    """DEFAULT_METHODS less those the head cannot score."""
+    if head == GAUSSIAN:
+        return tuple(m for m in DEFAULT_METHODS if m not in CATEGORICAL_ONLY_METHODS)
+    return DEFAULT_METHODS
+
+
 GREEDY_OBJECTIVES = {
     "greedy_eig_logdet": "eig",
     "greedy_epig_logdet": "epig",
@@ -129,7 +137,8 @@ class ExperimentConfig:
 
     `data` / `model` are optional paths; without `data` a synthetic set is
     generated from the seed, without `model` the train split is fit
-    in-process. `lam` serializes as "lambda".
+    in-process. `lam` serializes as "lambda". Unset `methods` become
+    `default_methods(head)`.
     """
 
     seed: int = 0
@@ -143,7 +152,7 @@ class ExperimentConfig:
     pool_size: int = 1000
     eval_size: int = 200
     eval_source: str = "disjoint"
-    methods: tuple[str, ...] = DEFAULT_METHODS
+    methods: tuple[str, ...] | None = None
     mc_samples: int = 1000
     method: str = "greedy_eig_logdet"
     batch_size: int = 10
@@ -151,6 +160,10 @@ class ExperimentConfig:
     data: str | None = None
     model: str | None = None
     out: str = "."
+
+    def __post_init__(self):
+        if self.methods is None:
+            object.__setattr__(self, "methods", default_methods(self.head))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

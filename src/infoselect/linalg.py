@@ -1,10 +1,12 @@
 """Dense symmetric positive (semi)definite matrix helpers.
 
-All log determinants go through Cholesky factorizations: for a factor L with
+All k x k log determinants go through Cholesky factorizations: for a factor L with
 A = L L^T, logdet(A) = 2 * sum(log(diag(L))). Factorizations that fail get a
 second chance through an escalating diagonal jitter; see `jitter_schedule`.
-Ratios of determinants such as logdet(F P^-1 + I) are always evaluated as
-logdet(F + P) - logdet(P) so that both terms stay symmetric and factorizable.
+Ratios of determinants such as logdet(F P^-1 + I) are evaluated as
+logdet(F + P) - logdet(P) so that both terms stay symmetric and factorizable;
+the rank-C term of a single candidate instead goes through the C x C
+identities in `scores`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ class PsdMatrix:
     Construction symmetrizes the input through (A + A^T) / 2, so stored
     entries satisfy M[i, j] == M[j, i] exactly. Positive semidefiniteness is
     a caller obligation; it is enforced lazily by the factorizing routines.
-    The wrapped array is frozen to keep instances safely shareable.
+    The wrapped array is frozen to keep instances safely shareable, which
+    also lets the Cholesky factor be computed once and reused.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_factor")
 
     def __init__(self, values):
         a = np.array(values, dtype=float)
@@ -54,6 +57,16 @@ class PsdMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
+
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor (jittered if needed), computed on first use."""
+        try:
+            return self._factor
+        except AttributeError:
+            factor, _ = _cholesky_jittered(self.values)
+            factor.setflags(write=False)
+            object.__setattr__(self, "_factor", factor)
+            return factor
 
     @property
     def trace(self) -> float:
@@ -123,11 +136,20 @@ def chol_logdet(a) -> float:
     The jitter schedule is applied if the plain factorization fails, which
     keeps log determinants finite for nearly rank-deficient inputs.
     """
-    m = as_psd(a).values
-    if m.shape[0] == 0:
+    m = as_psd(a)
+    if m.dim == 0:
         return 0.0
-    factor, _ = _cholesky_jittered(m)
+    return factor_logdet(m.factor())
+
+
+def factor_logdet(factor: np.ndarray) -> float:
+    """log det(L L^T) from the lower Cholesky factor L."""
     return float(2.0 * np.sum(np.log(np.diagonal(factor))))
+
+
+def factor_inverse(factor: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 from the lower Cholesky factor L."""
+    return scipy.linalg.cho_solve((factor, True), np.eye(factor.shape[0]))
 
 
 def solve_psd(a, b) -> np.ndarray:
@@ -136,14 +158,13 @@ def solve_psd(a, b) -> np.ndarray:
     B may be a vector or a matrix of right hand sides. The residual satisfies
     ||A X - B||_F <= 1e-8 ||B||_F for well-conditioned systems.
     """
-    m = as_psd(a).values
+    m = as_psd(a)
     rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != m.shape[0]:
+    if rhs.shape[0] != m.dim:
         raise DimensionMismatch(
-            f"matrix of dim {m.shape[0]} against right hand side {rhs.shape}"
+            f"matrix of dim {m.dim} against right hand side {rhs.shape}"
         )
-    factor, _ = _cholesky_jittered(m)
-    return scipy.linalg.cho_solve((factor, True), rhs)
+    return scipy.linalg.cho_solve((m.factor(), True), rhs)
 
 
 def kron(a, b) -> np.ndarray:

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch
 from .glm import Dataset, GlmModel, _map_curvature, _map_gradient
-from .linalg import PsdMatrix, _cholesky_jittered, chol_logdet
+from .linalg import PsdMatrix, chol_logdet
 
 # Entropy of a k-dimensional standard normal is k/2 * log(2 pi e); this is
 # the per-dimension constant.
@@ -105,7 +105,7 @@ def sample_weights(post: GaussianPosterior, n_samples: int, seed: int) -> np.nda
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    factor, _ = _cholesky_jittered(post.precision.values)
+    factor = post.precision.factor()
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((post.num_weights, n_samples))
     draws = scipy.linalg.solve_triangular(factor.T, z, lower=False)

@@ -5,6 +5,14 @@ against the posterior precision P. Log-det and trace variants are returned
 together as a ScorePair; the log-det never exceeds the trace for the
 expected-information scores.
 
+A single candidate's Fisher F_n = U_n L_n U_n^T (U_n = I_C (x) x_n, L_n the
+head curvature) has rank <= C, so per-candidate scores never form a k x k
+matrix. With S_n(A^-1) = U_n^T A^-1 U_n (`candidate_projection`), Sylvester's
+identity gives logdet(A + s F_n) - logdet(A) = logdet(I + s L_n S_n(A^-1))
+and Woodbury gives tr((A + s F_n)^-1 E) - tr(A^-1 E)
+= -s tr((I + s L_n S_n(A^-1))^-1 L_n S_n(A^-1 E A^-1)), for s = +1 (add)
+or -1 (remove). Neither needs a square root of L_n.
+
 Orientation: the expected/joint information scores (eig, ig) and the two
 gradient-norm baselines are maximization objectives. The transductive
 proxies (epig, jepig, pig, jpig) measure how much the evaluation predictions
@@ -19,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, EmptyEvalSet, EmptySampleSet
-from .glm import Dataset, GlmModel, fisher_batch, fisher_information, score_jacobian
-from .linalg import _cholesky_jittered, chol_logdet
-from .posterior import LOG_TWO_PI_E, GaussianPosterior
+from .errors import DimensionMismatch, EmptyEvalSet, EmptySampleSet, NotPositiveDefinite
+from .glm import Dataset, GlmModel, candidate_projection, fisher_batch, score_jacobian
+from .linalg import _cholesky_jittered, chol_logdet, factor_inverse, factor_logdet
+from .posterior import GaussianPosterior, entropy_approx
 
 
 @dataclass(frozen=True)
@@ -50,11 +58,26 @@ class Scorer:
         self.model = model
         self.posterior = posterior
         self._prec = posterior.precision.values
-        self._prec_factor, _ = _cholesky_jittered(self._prec)
+        self._prec_factor = posterior.precision.factor()
 
     @property
     def num_weights(self) -> int:
         return self.model.num_weights
+
+    def precision_with(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """P + F(xs), the precision once the rows xs are labeled, and its factor.
+
+        The factor is lower Cholesky; with no rows it is the cached one of P.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.size == 0:
+            return self._prec, self._prec_factor
+        q = self._prec + fisher_batch(self.model, xs).values
+        return q, _cholesky_jittered(q)[0]
+
+    def curvatures(self, xs) -> np.ndarray:
+        """Head curvature L_n at each row of xs, an (n, C, C) stack."""
+        return self.model.head.curvature(np.asarray(xs, dtype=float) @ self.model.weights)
 
 
 def logdet_ratio(term: np.ndarray, base: np.ndarray, base_factor: np.ndarray) -> float:
@@ -63,13 +86,70 @@ def logdet_ratio(term: np.ndarray, base: np.ndarray, base_factor: np.ndarray) ->
     base_factor is the lower Cholesky factor of base, which callers already
     hold; only term + base is factorized here.
     """
-    base_logdet = float(2.0 * np.sum(np.log(np.diagonal(base_factor))))
-    return 0.5 * (chol_logdet(term + base) - base_logdet)
+    return 0.5 * (chol_logdet(term + base) - factor_logdet(base_factor))
 
 
 def trace_ratio(term: np.ndarray, base_factor: np.ndarray) -> float:
     """1/2 tr(base^-1 term), the trace form of every score."""
     return 0.5 * float(np.trace(scipy.linalg.cho_solve((base_factor, True), term)))
+
+
+def _rank_c_update(curv: np.ndarray, proj: np.ndarray, sign: float):
+    """I + sign L_n S_n for every candidate, with its log-determinant.
+
+    The determinant equals det(A + sign F_n) / det(A), so it is positive
+    whenever A + sign F_n is positive definite; a non-positive or non-finite
+    one shows that it is not, and raises instead of being used.
+    """
+    update = np.eye(curv.shape[-1]) + sign * (curv @ proj)
+    det_sign, logdet = np.linalg.slogdet(update)
+    bad = ~((det_sign > 0) & np.isfinite(logdet))
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise NotPositiveDefinite(
+            f"rank-{curv.shape[-1]} update of candidate {n} is not positive "
+            f"definite: det(I {'+' if sign > 0 else '-'} L S) has sign {det_sign[n]:+.0f}, "
+            f"log {logdet[n]:.3e}"
+        )
+    return update, logdet
+
+
+def candidate_logdet_ratios(curv, proj, sign: float = 1.0) -> np.ndarray:
+    """logdet_ratio(sign F_n, A) for every candidate n at once.
+
+    1/2 logdet(I + sign L_n S_n), where curv holds the L_n and proj the
+    S_n = U_n^T A^-1 U_n.
+    """
+    return 0.5 * _rank_c_update(curv, proj, sign)[1]
+
+
+def candidate_trace_ratios(curv, proj, sandwich, sign: float = 1.0) -> np.ndarray:
+    """1/2 [tr((A + sign F_n)^-1 E) - tr(A^-1 E)] for every candidate n.
+
+    proj holds U_n^T A^-1 U_n and sandwich U_n^T A^-1 E A^-1 U_n.
+    """
+    update, _ = _rank_c_update(curv, proj, sign)
+    solved = np.linalg.solve(update, curv @ sandwich)
+    return -0.5 * sign * np.trace(solved, axis1=-2, axis2=-1)
+
+
+def logdet_changes(s: Scorer, xs, q_factor, r_factor=None) -> np.ndarray:
+    """Change of a log-det objective when each row of xs alone joins q.
+
+    q_factor is the lower Cholesky factor of a precision q (P plus the
+    batch so far). eig (r_factor None): logdet_ratio(F_n, q) =
+    1/2 logdet(I + L_n S_n(q^-1)). epig/jepig, with r_factor the factor of
+    E + q: logdet_ratio(E, q + F_n) - logdet_ratio(E, q)
+    = 1/2 [logdet(I + L_n S_n((E + q)^-1)) - logdet(I + L_n S_n(q^-1))].
+    """
+    curv = s.curvatures(xs)
+    change = candidate_logdet_ratios(
+        curv, candidate_projection(s.model, xs, factor_inverse(q_factor))
+    )
+    if r_factor is None:
+        return change
+    r_proj = candidate_projection(s.model, xs, factor_inverse(r_factor))
+    return candidate_logdet_ratios(curv, r_proj) - change
 
 
 def _labeled_features(model: GlmModel, cands) -> np.ndarray:
@@ -83,13 +163,6 @@ def _labeled_features(model: GlmModel, cands) -> np.ndarray:
     return np.asarray(xs, dtype=float)
 
 
-def _eig_pair(s: Scorer, cand_term: np.ndarray) -> ScorePair:
-    return ScorePair(
-        logdet_ratio(cand_term, s._prec, s._prec_factor),
-        trace_ratio(cand_term, s._prec_factor),
-    )
-
-
 def eig_score(s: Scorer, cand_xs) -> ScorePair:
     """Expected information gain of labeling the candidate batch (maximize).
 
@@ -100,7 +173,10 @@ def eig_score(s: Scorer, cand_xs) -> ScorePair:
     xs = np.asarray(cand_xs, dtype=float)
     if xs.size == 0:
         return ScorePair(0.0, 0.0)
-    return _eig_pair(s, fisher_batch(s.model, xs).values)
+    f = fisher_batch(s.model, xs).values
+    return ScorePair(
+        logdet_ratio(f, s._prec, s._prec_factor), trace_ratio(f, s._prec_factor)
+    )
 
 
 def ig_score(s: Scorer, cands) -> ScorePair:
@@ -120,7 +196,7 @@ def conditional_entropy_proxy(s: Scorer, cand_xs) -> float:
     a tighter posterior once the batch is labeled.
     """
     f = fisher_batch(s.model, np.asarray(cand_xs, dtype=float)).values
-    return 0.5 * chol_logdet(f + s._prec) - 0.5 * s.num_weights * LOG_TWO_PI_E
+    return logdet_ratio(f, s._prec, s._prec_factor) - entropy_approx(s.posterior)
 
 
 def eval_fisher(s: Scorer, eval_xs, reduce: str) -> np.ndarray:
@@ -134,16 +210,15 @@ def eval_fisher(s: Scorer, eval_xs, reduce: str) -> np.ndarray:
     return total
 
 
-def _transductive_pair(s: Scorer, cand_term: np.ndarray, eval_term: np.ndarray) -> ScorePair:
+def _transductive_pair(s: Scorer, cand_xs, eval_term: np.ndarray) -> ScorePair:
     """Proxy MI between weights and eval predictions given the batch.
 
-    q = cand_term + P is the posterior precision after the candidates;
+    q = F + P is the posterior precision after the candidates;
     logdet = 1/2 [logdet(eval_term + q) - logdet(q)],
     trace  = 1/2 tr(q^-1 eval_term). Both shrink as the batch explains the
     evaluation directions, hence minimization.
     """
-    q = cand_term + s._prec
-    q_factor, _ = _cholesky_jittered(q)
+    q, q_factor = s.precision_with(cand_xs)
     return ScorePair(
         logdet_ratio(eval_term, q, q_factor), trace_ratio(eval_term, q_factor)
     )
@@ -151,9 +226,7 @@ def _transductive_pair(s: Scorer, cand_term: np.ndarray, eval_term: np.ndarray) 
 
 def epig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
     """Expected transductive proxy, eval Fisher averaged (minimize)."""
-    eval_term = eval_fisher(s, eval_xs, "mean")
-    cand_term = fisher_batch(s.model, np.asarray(cand_xs, dtype=float)).values
-    return _transductive_pair(s, cand_term, eval_term)
+    return _transductive_pair(s, cand_xs, eval_fisher(s, eval_xs, "mean"))
 
 
 def jepig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
@@ -162,9 +235,7 @@ def jepig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
     The trace variant is exactly M times the epig trace for M eval points;
     the log-det variants genuinely differ for M >= 2.
     """
-    eval_term = eval_fisher(s, eval_xs, "sum")
-    cand_term = fisher_batch(s.model, np.asarray(cand_xs, dtype=float)).values
-    return _transductive_pair(s, cand_term, eval_term)
+    return _transductive_pair(s, cand_xs, eval_fisher(s, eval_xs, "sum"))
 
 
 def pig_score(s: Scorer, cands, eval_pairs) -> ScorePair:
@@ -183,19 +254,41 @@ def jpig_score(s: Scorer, cands, eval_pairs) -> ScorePair:
     return jepig_score(s, _labeled_features(s.model, cands), eval_xs)
 
 
+def _pairs(logdets, traces) -> list[ScorePair]:
+    return [ScorePair(float(a), float(b)) for a, b in zip(logdets, traces)]
+
+
 def eig_pool_scores(s: Scorer, pool_xs) -> list[ScorePair]:
-    """eig_score of each pool candidate alone, sharing the cached factor."""
-    return [
-        _eig_pair(s, fisher_information(s.model, x).values)
-        for x in np.atleast_2d(np.asarray(pool_xs, dtype=float))
-    ]
+    """eig_score of each pool candidate alone, all candidates at once.
+
+    logdet = 1/2 logdet(I + L_n S_n(P^-1)), trace = 1/2 tr(L_n S_n(P^-1)).
+    """
+    xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
+    curv = s.curvatures(xs)
+    proj = candidate_projection(s.model, xs, factor_inverse(s._prec_factor))
+    traces = 0.5 * np.trace(curv @ proj, axis1=-2, axis2=-1)
+    return _pairs(candidate_logdet_ratios(curv, proj), traces)
 
 
 def _transductive_pool(s: Scorer, pool_xs, eval_term) -> list[ScorePair]:
-    return [
-        _transductive_pair(s, fisher_information(s.model, x).values, eval_term)
-        for x in np.atleast_2d(np.asarray(pool_xs, dtype=float))
-    ]
+    """_transductive_pair of each pool candidate alone, all at once.
+
+    The empty batch's pair plus each candidate's change: logdet_changes
+    for the log-det, the Woodbury trace identity for the trace.
+    """
+    xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
+    p_factor = s._prec_factor
+    p_inv = factor_inverse(p_factor)
+    r_factor, _ = _cholesky_jittered(eval_term + s._prec)
+    logdets = 0.5 * (
+        factor_logdet(r_factor) - factor_logdet(p_factor)
+    ) + logdet_changes(s, xs, p_factor, r_factor)
+    traces = trace_ratio(eval_term, p_factor) + candidate_trace_ratios(
+        s.curvatures(xs),
+        candidate_projection(s.model, xs, p_inv),
+        candidate_projection(s.model, xs, p_inv @ eval_term @ p_inv),
+    )
+    return _pairs(logdets, traces)
 
 
 def epig_pool_scores(s: Scorer, pool_xs, eval_xs) -> list[ScorePair]:

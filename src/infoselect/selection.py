@@ -3,8 +3,8 @@
 All methods return a SelectionResult with the chosen pool indices in pick
 order, the final objective value in the objective's native sign convention
 (transductive proxies are minimized, everything else maximized), and the
-per-step gain trace. Ties always resolve to the lowest index so runs are
-reproducible bit for bit.
+per-step gain trace. Ties resolve to the lowest index (BAIT's backward
+pass: to the earliest pick) so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +16,16 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BatchTooLarge, TooManySubsets
-from .glm import fisher_information
-from .linalg import _cholesky_jittered
-from .scores import Scorer, eval_fisher, logdet_ratio, trace_ratio
+from .glm import candidate_projection, fisher_batch
+from .linalg import _cholesky_jittered, factor_inverse
+from .scores import (
+    Scorer,
+    candidate_trace_ratios,
+    eval_fisher,
+    logdet_changes,
+    logdet_ratio,
+    trace_ratio,
+)
 from .similarity import JacobianDataMatrix
 
 MAXIMIZE = "maximize"
@@ -59,47 +66,26 @@ def top_k(scores, k: int) -> SelectionResult:
     )
 
 
-class _BatchObjective:
-    """Evaluates a named batch objective as a function of the summed Fisher.
+def _eval_term(s: Scorer, objective: str, eval_xs):
+    """Eval Fisher of a log-det objective; None for eig, which has none."""
+    if objective == "eig":
+        return None
+    if objective in ("epig", "jepig"):
+        return eval_fisher(s, eval_xs, "mean" if objective == "epig" else "sum")
+    raise ValueError(f"unknown objective {objective!r}")
 
-    Candidate Fisher matrices are materialized once; set values are then
-    one or two k x k factorizations each.
+
+def _set_value(s: Scorer, xs, eval_term) -> float:
+    """Log-det objective of the candidate set xs, from one k x k factorization.
+
+    eig (eval_term None): 1/2 [logdet(F + P) - logdet(P)];
+    epig/jepig: 1/2 [logdet(E + q) - logdet(q)] with q = F + P.
     """
-
-    def __init__(self, scorer: Scorer, pool_xs, objective: str, eval_xs=None):
-        self.scorer = scorer
-        pool = np.asarray(pool_xs, dtype=float)
-        self.pool_size = pool.shape[0]
-        self.fishers = [
-            fisher_information(scorer.model, x).values for x in pool
-        ]
-        self.objective = objective
-        if objective == "eig":
-            self.orientation = MAXIMIZE
-            self.eval_term = None
-        elif objective in ("epig", "jepig"):
-            self.orientation = MINIMIZE
-            reduce = "mean" if objective == "epig" else "sum"
-            self.eval_term = eval_fisher(scorer, eval_xs, reduce)
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
-
-    def zero_matrix(self) -> np.ndarray:
-        k = self.scorer.num_weights
-        return np.zeros((k, k))
-
-    def value(self, f_batch: np.ndarray) -> float:
-        s = self.scorer
-        if self.objective == "eig":
-            return logdet_ratio(f_batch, s._prec, s._prec_factor)
-        q = f_batch + s._prec
-        q_factor, _ = _cholesky_jittered(q)
-        return logdet_ratio(self.eval_term, q, q_factor)
-
-    def better(self, candidate: float, incumbent: float) -> bool:
-        if self.orientation == MAXIMIZE:
-            return candidate > incumbent
-        return candidate < incumbent
+    if eval_term is None:
+        f = fisher_batch(s.model, xs).values
+        return logdet_ratio(f, s._prec, s._prec_factor)
+    q, q_factor = s.precision_with(xs)
+    return logdet_ratio(eval_term, q, q_factor)
 
 
 def greedy_logdet(
@@ -111,39 +97,32 @@ def greedy_logdet(
     value (largest increase for eig, largest decrease for the transductive
     proxies), ties to the lowest index. The gain trace records the value
     change per step; for eig these are nonincreasing by submodularity.
+
+    Each step factors the running precision q = P + F_batch (and E + q for
+    the transductive proxies) once, then scores every remaining candidate
+    as a C x C problem through `scores.logdet_changes`.
     """
-    obj = _BatchObjective(s, pool_xs, objective, eval_xs)
-    if k > obj.pool_size:
-        raise BatchTooLarge(f"k={k} from a pool of {obj.pool_size}")
+    pool = np.asarray(pool_xs, dtype=float)
+    eval_term = _eval_term(s, objective, eval_xs)
+    n = pool.shape[0]
+    if k > n:
+        raise BatchTooLarge(f"k={k} from a pool of {n}")
     chosen: list[int] = []
     gains: list[float] = []
-    f_cur = obj.zero_matrix()
-    value_cur = obj.value(f_cur)
-    remaining = list(range(obj.pool_size))
+    remaining = list(range(n))
     for _ in range(k):
-        best_i = None
-        best_value = None
-        for i in remaining:
-            v = obj.value(f_cur + obj.fishers[i])
-            if best_i is None or obj.better(v, best_value):
-                best_i, best_value = i, v
-        chosen.append(best_i)
-        remaining.remove(best_i)
-        gains.append(best_value - value_cur)
-        f_cur = f_cur + obj.fishers[best_i]
-        value_cur = best_value
+        q, q_factor = s.precision_with(pool[chosen])
+        r_factor = None if eval_term is None else _cholesky_jittered(eval_term + q)[0]
+        change = logdet_changes(s, pool[remaining], q_factor, r_factor)
+        best = int(np.argmax(change) if eval_term is None else np.argmin(change))
+        gains.append(float(change[best]))
+        chosen.append(remaining.pop(best))
     return SelectionResult(
         indices=tuple(chosen),
-        objective_value=value_cur,
+        objective_value=_set_value(s, pool[chosen], eval_term),
         method=f"greedy_{objective}_logdet",
         gains=tuple(gains),
     )
-
-
-def _trace_objective(scorer: Scorer, eval_term: np.ndarray, f_batch: np.ndarray) -> float:
-    # BAIT ranks on tr((F_batch + P)^-1 F_eval) itself, twice the score's half.
-    q_factor, _ = _cholesky_jittered(f_batch + scorer._prec)
-    return 2.0 * trace_ratio(eval_term, q_factor)
 
 
 def bait_forward_backward(
@@ -154,7 +133,12 @@ def bait_forward_backward(
     Minimizes tr(F_eval (F_batch + P)^-1) with F_eval the averaged eval
     Fisher: forward-greedily grows a set of forward_multiplier * k, then
     backward-greedily drops the members whose removal increases the
-    objective least, down to k. Ties to the lowest index in both passes.
+    objective least, down to k. Ties to the lowest index when adding and
+    to the earliest pick when dropping.
+
+    Each step factors q = P + F_batch once; every candidate's value
+    tr((q + s F_n)^-1 F_eval), s = +1 to add and -1 to drop, then comes
+    from the rank-C Woodbury identity of `scores`.
     """
     pool = np.asarray(pool_xs, dtype=float)
     width = forward_multiplier * k
@@ -163,38 +147,33 @@ def bait_forward_backward(
             f"forward width {width} from a pool of {pool.shape[0]}"
         )
     eval_term = eval_fisher(s, eval_xs, "mean")
-    kdim = s.num_weights
-
-    fishers = [fisher_information(s.model, x).values for x in pool]
+    curv = s.curvatures(pool)
     chosen: list[int] = []
     gains: list[float] = []
-    f_cur = np.zeros((kdim, kdim))
-    value_cur = _trace_objective(s, eval_term, f_cur)
     remaining = list(range(pool.shape[0]))
-    for _ in range(width):
-        best_i, best_value = None, None
-        for i in remaining:
-            v = _trace_objective(s, eval_term, f_cur + fishers[i])
-            if best_i is None or v < best_value:
-                best_i, best_value = i, v
-        chosen.append(best_i)
-        remaining.remove(best_i)
-        gains.append(best_value - value_cur)
-        f_cur = f_cur + fishers[best_i]
-        value_cur = best_value
-    for _ in range(width - k):
-        best_i, best_value = None, None
-        for i in chosen:
-            v = _trace_objective(s, eval_term, f_cur - fishers[i])
-            if best_i is None or v < best_value:
-                best_i, best_value = i, v
-        chosen.remove(best_i)
-        gains.append(best_value - value_cur)
-        f_cur = f_cur - fishers[best_i]
-        value_cur = best_value
+    for step in range(2 * width - k):
+        adding = step < width
+        cands = remaining if adding else chosen
+        _, q_factor = s.precision_with(pool[chosen])
+        q_inv = factor_inverse(q_factor)
+        # BAIT ranks on tr(q^-1 F_eval) itself, twice the score's half.
+        value = 2.0 * trace_ratio(eval_term, q_factor)
+        rows = pool[cands]
+        values = value + 2.0 * candidate_trace_ratios(
+            curv[cands],
+            candidate_projection(s.model, rows, q_inv),
+            candidate_projection(s.model, rows, q_inv @ eval_term @ q_inv),
+            1.0 if adding else -1.0,
+        )
+        best = int(np.argmin(values))
+        gains.append(float(values[best] - value))
+        picked = cands.pop(best)
+        if adding:
+            chosen.append(picked)
+    _, q_factor = s.precision_with(pool[chosen])
     return SelectionResult(
         indices=tuple(chosen),
-        objective_value=value_cur,
+        objective_value=2.0 * trace_ratio(eval_term, q_factor),
         method="bait",
         gains=tuple(gains),
     )
@@ -250,21 +229,20 @@ def exhaustive_best(
     Guarded by a subset budget; ties resolve to the lexicographically
     smallest index tuple (enumeration order).
     """
-    obj = _BatchObjective(s, pool_xs, objective, eval_xs)
-    n = obj.pool_size
+    pool = np.asarray(pool_xs, dtype=float)
+    eval_term = _eval_term(s, objective, eval_xs)
+    n = pool.shape[0]
     if k > n:
         raise BatchTooLarge(f"k={k} from a pool of {n}")
     if math.comb(n, k) > EXHAUSTIVE_SUBSET_BUDGET:
         raise TooManySubsets(
             f"C({n},{k}) = {math.comb(n, k)} exceeds {EXHAUSTIVE_SUBSET_BUDGET}"
         )
+    sign = 1.0 if eval_term is None else -1.0
     best_set, best_value = None, None
     for subset in combinations(range(n), k):
-        f = obj.zero_matrix()
-        for i in subset:
-            f = f + obj.fishers[i]
-        v = obj.value(f)
-        if best_set is None or obj.better(v, best_value):
+        v = _set_value(s, pool[list(subset)], eval_term)
+        if best_set is None or sign * v > sign * best_value:
             best_set, best_value = subset, v
     return SelectionResult(
         indices=best_set,

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, MissingLabels, SingularGram
 from .glm import Dataset, GlmModel, score_jacobian
 from .linalg import PsdMatrix, as_psd, chol_logdet, solve_psd
+from .scores import logdet_ratio
 
 HARD = "hard"
 SAMPLED = "sampled"
@@ -197,9 +198,7 @@ def eig_via_similarity(g_acq: JacobianDataMatrix, precision) -> float:
         s = gram_weighted(g_acq, precision).entries
         return 0.5 * chol_logdet(s + np.eye(n))
     p = as_psd(precision)
-    return 0.5 * (
-        chol_logdet(g_acq.rows.T @ g_acq.rows + p.values) - chol_logdet(p)
-    )
+    return logdet_ratio(g_acq.rows.T @ g_acq.rows, p.values, p.factor())
 
 
 def eig_uninformative(g_acq: JacobianDataMatrix, lam: float) -> float:

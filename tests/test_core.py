@@ -1,0 +1,302 @@
+"""The rank-C candidate core against the k x k per-candidate oracles.
+
+Pool scores, greedy log-det selection and BAIT evaluate every candidate
+through `candidate_projection` and the C x C Sylvester/Woodbury identities.
+The oracles below are the per-candidate loops those paths replaced: one or
+two k x k Cholesky factorizations per candidate (and per step). Values must
+agree to 1e-10 relative to the k x k quantities the oracle subtracts; picks
+must agree except at a near tie (relative gap < 1e-9 in the oracle's own
+values), after which the two trajectories may part.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infoselect.errors import NotPositiveDefinite
+from infoselect.glm import GlmModel, Head, candidate_projection, fisher_batch, fisher_information
+from infoselect.linalg import PsdMatrix, _cholesky_jittered, factor_inverse, factor_logdet
+from infoselect.posterior import GaussianPosterior
+from infoselect.scores import (
+    Scorer,
+    candidate_logdet_ratios,
+    candidate_trace_ratios,
+    eig_pool_scores,
+    epig_pool_scores,
+    eval_fisher,
+    jepig_pool_scores,
+    logdet_ratio,
+    trace_ratio,
+)
+from infoselect.selection import bait_forward_backward, greedy_logdet
+
+RTOL = 1e-10
+NEAR_TIE = 1e-9
+
+
+def make_problem(seed, categorical, few_rows, structure, logit_scale):
+    """Random scorer, pool and eval rows; n < k or n > k by `few_rows`."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(2, 5)) if categorical else 1
+    d = int(rng.integers(1, 5)) if not few_rows else int(rng.integers(2, 5))
+    k = c * d
+    n = int(rng.integers(1, k)) if few_rows else int(rng.integers(k + 1, 3 * k + 2))
+    head = Head.categorical(c) if categorical else Head.gaussian()
+    model = GlmModel(head, logit_scale * rng.standard_normal((d, c)))
+    pool = rng.standard_normal((n, d))
+    if structure == "duplicated":
+        half = (n + 1) // 2
+        pool[half:] = pool[: n - half]
+    elif structure == "rank_deficient":
+        pool = rng.standard_normal((n, 1)) @ rng.standard_normal((1, d))
+    train = rng.standard_normal((int(rng.integers(0, 2 * k)), d))
+    lam = float(rng.choice([0.05, 1.0, 10.0]))
+    prec = PsdMatrix(fisher_batch(model, train).values + lam * np.eye(k))
+    s = Scorer(model, GaussianPosterior(np.zeros(k), prec, lam))
+    evals = rng.standard_normal((int(rng.integers(1, 6)), d))
+    return s, pool, evals
+
+
+problems = dict(
+    seed=st.integers(min_value=0, max_value=10_000),
+    categorical=st.booleans(),
+    few_rows=st.booleans(),
+    structure=st.sampled_from(["plain", "duplicated", "rank_deficient"]),
+    logit_scale=st.sampled_from([0.0, 0.3, 3.0, 60.0]),
+)
+
+
+def assert_close(got, want, scale):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.all(np.abs(got - want) <= RTOL * (np.abs(want) + scale))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-candidate k x k loops the core replaced
+
+
+def oracle_pool_scores(s, pool, eval_term=None):
+    """(logdet, trace) per candidate, factorizing F_n + P for each one."""
+    out = []
+    for x in pool:
+        f = fisher_information(s.model, x).values
+        if eval_term is None:
+            out.append((logdet_ratio(f, s._prec, s._prec_factor), trace_ratio(f, s._prec_factor)))
+        else:
+            q = f + s._prec
+            q_factor, _ = _cholesky_jittered(q)
+            out.append((logdet_ratio(eval_term, q, q_factor), trace_ratio(eval_term, q_factor)))
+    return np.array(out).reshape(-1, 2)
+
+
+def oracle_greedy(s, pool, k, eval_term):
+    """Greedy log-det growth; every candidate's set value from k x k factors."""
+    fishers = [fisher_information(s.model, x).values for x in pool]
+
+    def value(f):
+        if eval_term is None:
+            return logdet_ratio(f, s._prec, s._prec_factor)
+        q = f + s._prec
+        q_factor, _ = _cholesky_jittered(q)
+        return logdet_ratio(eval_term, q, q_factor)
+
+    sign = 1.0 if eval_term is None else -1.0
+    chosen, gains, steps = [], [], []
+    f_cur = np.zeros_like(s._prec)
+    value_cur = value(f_cur)
+    remaining = list(range(len(pool)))
+    for _ in range(k):
+        values = {i: value(f_cur + fishers[i]) for i in remaining}
+        best = remaining[0]
+        for i in remaining:
+            if sign * values[i] > sign * values[best]:
+                best = i
+        steps.append(values)
+        chosen.append(best)
+        remaining.remove(best)
+        gains.append(values[best] - value_cur)
+        f_cur = f_cur + fishers[best]
+        value_cur = values[best]
+    return chosen, value_cur, gains, steps
+
+
+def oracle_bait(s, pool, k, eval_xs, forward_multiplier=2):
+    """BAIT forward-backward; every candidate's trace from a k x k factor."""
+    eval_term = eval_fisher(s, eval_xs, "mean")
+    fishers = [fisher_information(s.model, x).values for x in pool]
+
+    def value(f):
+        q_factor, _ = _cholesky_jittered(f + s._prec)
+        return 2.0 * trace_ratio(eval_term, q_factor)
+
+    width = forward_multiplier * k
+    chosen, gains, steps = [], [], []
+    f_cur = np.zeros_like(s._prec)
+    value_cur = value(f_cur)
+    remaining = list(range(len(pool)))
+    for step in range(2 * width - k):
+        adding = step < width
+        cands = remaining if adding else chosen
+        sign = 1.0 if adding else -1.0
+        values = {i: value(f_cur + sign * fishers[i]) for i in cands}
+        best = cands[0]
+        for i in cands:
+            if values[i] < values[best]:
+                best = i
+        steps.append(values)
+        cands.remove(best)
+        if adding:
+            chosen.append(best)
+        gains.append(values[best] - value_cur)
+        f_cur = f_cur + sign * fishers[best]
+        value_cur = values[best]
+    return chosen, value_cur, gains, steps
+
+
+def assert_same_picks(got, want, steps, sign):
+    """Equal picks, unless the oracle's best two values nearly tied at a step.
+
+    sign is +1 where the oracle maximizes and -1 where it minimizes.
+    Returns whether the two selections agree.
+    """
+    if tuple(got) == tuple(want):
+        return True
+
+    def near_tie(values):
+        v = sorted((sign * x for x in values.values()), reverse=True)
+        return len(v) > 1 and v[0] - v[1] <= NEAR_TIE * max(1.0, abs(v[0]), abs(v[1]))
+
+    assert any(near_tie(values) for values in steps)
+    return False
+
+
+def test_candidate_projection_matches_explicit_factor():
+    # S_n = U_n^T A U_n with U_n = I_C (x) x_n built explicitly; A is not
+    # symmetric, so a transposed block or output would show.
+    rng = np.random.default_rng(0)
+    for head, d in ((Head.categorical(3), 4), (Head.gaussian(), 5)):
+        model = GlmModel(head, rng.standard_normal((d, head.num_outputs)))
+        k = model.num_weights
+        xs = rng.standard_normal((6, d))
+        a = rng.standard_normal((k, k))
+        got = candidate_projection(model, xs, a)
+        for x, s_n, curv in zip(xs, got, head.curvature(xs @ model.weights)):
+            u = np.kron(np.eye(head.num_outputs), x[:, None])
+            np.testing.assert_allclose(s_n, u.T @ a @ u, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                u @ curv @ u.T, fisher_information(model, x).values, atol=1e-15
+            )
+
+
+# ---------------------------------------------------------------------------
+# pool scores
+
+
+@settings(max_examples=60, deadline=None)
+@given(**problems)
+def test_pool_scores_match_per_candidate_oracle(seed, categorical, few_rows, structure, logit_scale):
+    s, pool, evals = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    half_logdet_p = 0.5 * abs(factor_logdet(s._prec_factor))
+
+    got = np.array([(p.logdet, p.trace) for p in eig_pool_scores(s, pool)])
+    want = oracle_pool_scores(s, pool)
+    assert_close(got[:, 0], want[:, 0], 1.0 + half_logdet_p)
+    assert_close(got[:, 1], want[:, 1], np.max(want[:, 1]))
+    assert np.all(got[:, 0] <= got[:, 1] + RTOL * (1.0 + half_logdet_p))
+
+    for pool_scores, reduce in ((epig_pool_scores, "mean"), (jepig_pool_scores, "sum")):
+        eval_term = eval_fisher(s, evals, reduce)
+        got = np.array([(p.logdet, p.trace) for p in pool_scores(s, pool, evals)])
+        want = oracle_pool_scores(s, pool, eval_term)
+        r_factor, _ = _cholesky_jittered(eval_term + s._prec)
+        ld_scale = 1.0 + half_logdet_p + 0.5 * abs(factor_logdet(r_factor))
+        assert_close(got[:, 0], want[:, 0], ld_scale)
+        assert_close(got[:, 1], want[:, 1], trace_ratio(eval_term, s._prec_factor))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**problems)
+def test_removing_members_matches_oracle(seed, categorical, few_rows, structure, logit_scale):
+    # the BAIT backward step: q = P + F(members) minus one member's F_n.
+    # q - F_n stays positive definite, so every det(I - L S) is positive.
+    s, pool, evals = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    members = pool[: max(1, len(pool) // 2)]
+    q, q_factor = s.precision_with(members)
+    q_inv = factor_inverse(q_factor)
+    eval_term = eval_fisher(s, evals, "mean")
+    curv = s.curvatures(members)
+    proj = candidate_projection(s.model, members, q_inv)
+    sandwich = candidate_projection(s.model, members, q_inv @ eval_term @ q_inv)
+    got_ld = candidate_logdet_ratios(curv, proj, -1.0)
+    got_tr = candidate_trace_ratios(curv, proj, sandwich, -1.0)
+    for x, ld, tr in zip(members, got_ld, got_tr):
+        down = q - fisher_information(s.model, x).values
+        down_factor, _ = _cholesky_jittered(down)
+        want_ld = 0.5 * (factor_logdet(down_factor) - factor_logdet(q_factor))
+        assert_close(ld, want_ld, 1.0 + 0.5 * abs(factor_logdet(q_factor)))
+        want_tr = trace_ratio(eval_term, down_factor) - trace_ratio(eval_term, q_factor)
+        assert_close(tr, want_tr, trace_ratio(eval_term, down_factor))
+
+
+def test_indefinite_update_raises():
+    # Gaussian head, P = I: removing F = x x^T with |x|^2 = 4 > 1 leaves
+    # I - x x^T indefinite, and det(I - L S) = 1 - 4 < 0.
+    model = GlmModel(Head.gaussian(), np.zeros((2, 1)))
+    s = Scorer(model, GaussianPosterior(np.zeros(2), PsdMatrix.identity(2), 1.0))
+    x = np.array([[2.0, 0.0], [0.5, 0.0]])
+    curv = s.curvatures(x)
+    proj = candidate_projection(model, x, np.eye(2))
+    with pytest.raises(NotPositiveDefinite, match="candidate 0"):
+        candidate_logdet_ratios(curv, proj, -1.0)
+    with pytest.raises(NotPositiveDefinite):
+        candidate_trace_ratios(curv, proj, proj, -1.0)
+    kept = candidate_logdet_ratios(curv[1:], proj[1:], -1.0)
+    assert kept[0] == pytest.approx(0.5 * np.log(1.0 - 0.25), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# selection
+
+
+@settings(max_examples=40, deadline=None)
+@given(objective=st.sampled_from(["eig", "epig", "jepig"]), **problems)
+def test_greedy_matches_oracle(objective, seed, categorical, few_rows, structure, logit_scale):
+    s, pool, evals = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    k = min(3, len(pool))
+    eval_xs = None if objective == "eig" else evals
+    eval_term = None if objective == "eig" else eval_fisher(
+        s, evals, "mean" if objective == "epig" else "sum"
+    )
+    got = greedy_logdet(s, pool, k, objective, eval_xs)
+    want, want_value, want_gains, steps = oracle_greedy(s, pool, k, eval_term)
+    scale = 1.0 + 0.5 * abs(factor_logdet(s._prec_factor)) + abs(want_value)
+    if assert_same_picks(got.indices, want, steps, 1.0 if eval_term is None else -1.0):
+        assert_close(got.objective_value, want_value, scale)
+        assert_close(got.gains, want_gains, scale)
+    # the reported objective is always the k x k value of the reported set
+    f_set = fisher_batch(s.model, pool[list(got.indices)]).values
+    if eval_term is None:
+        set_value = logdet_ratio(f_set, s._prec, s._prec_factor)
+    else:
+        q = f_set + s._prec
+        set_value = logdet_ratio(eval_term, q, _cholesky_jittered(q)[0])
+    assert_close(got.objective_value, set_value, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**problems)
+def test_bait_matches_oracle(seed, categorical, few_rows, structure, logit_scale):
+    s, pool, evals = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    k = max(1, len(pool) // 4)
+    width = min(2 * k, len(pool))
+    multiplier = width // k
+    got = bait_forward_backward(s, pool, k, evals, forward_multiplier=multiplier)
+    want, want_value, want_gains, steps = oracle_bait(s, pool, k, evals, multiplier)
+    scale = 2.0 * trace_ratio(eval_fisher(s, evals, "mean"), s._prec_factor)
+    if assert_same_picks(got.indices, want, steps, -1.0):
+        assert_close(got.objective_value, want_value, scale)
+        assert_close(got.gains, want_gains, scale)
+    _, q_factor = s.precision_with(pool[list(got.indices)])
+    set_value = 2.0 * trace_ratio(eval_fisher(s, evals, "mean"), q_factor)
+    assert_close(got.objective_value, set_value, scale)

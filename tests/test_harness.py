@@ -18,6 +18,7 @@ from infoselect.errors import (
 )
 from infoselect.glm import Dataset, Head, map_fit
 from infoselect.harness import (
+    DEFAULT_METHODS,
     MINIMIZE,
     SCORE_ORIENTATIONS,
     ExperimentConfig,
@@ -29,6 +30,7 @@ from infoselect.harness import (
     cmd_select,
     cmd_simulate,
     cmd_train,
+    default_methods,
     load_config,
     load_dataset,
     load_model,
@@ -559,12 +561,26 @@ def test_cli_config_and_io_errors_exit_one(tmp_path, capsys):
     non_finite.write_text("f0,f1,y\n1.0,2.0,0\n1.0,nan,1\n")
     for argv in (
         ["train", "--lambda", "0"],
-        ["score", "--head", "gaussian"],
+        ["score", "--head", "gaussian", "--methods", "eig_logdet,bald_pred"],
         ["train", "--data", str(non_finite)],
     ):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "error" in err
+
+
+def test_cli_gaussian_head_runs_with_default_methods(tmp_path, capsys):
+    # the default method list drops the categorical-only columns on a
+    # Gaussian head, so no command needs --methods
+    small = ["--n", "200", "--dim", "3", "--pool-size", "30", "--eval-size", "10"]
+    for command in ("train", "select", "score"):
+        out = tmp_path / command
+        assert cli.main([command, "--head", "gaussian", *small, "--out", str(out)]) == 0
+    capsys.readouterr()
+    header = (tmp_path / "score" / "scores.csv").read_text().splitlines()[0]
+    assert tuple(header.split(",")[1:]) == default_methods("gaussian")
+    assert not set(default_methods("gaussian")) & {"bald_pred", "epig_pred"}
+    assert default_methods("categorical") == DEFAULT_METHODS
 
 
 def test_cli_numerical_failures_exit_two(monkeypatch, capsys):
