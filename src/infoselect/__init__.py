@@ -42,6 +42,7 @@ from .glm import (
     observed_information,
     predictive,
     score_jacobian,
+    score_jacobians,
 )
 from .posterior import (
     GaussianPosterior,
@@ -53,11 +54,13 @@ from .scores import (
     ScorePair,
     Scorer,
     conditional_entropy_proxy,
+    egl_pool_scores,
     egl_score,
     eig_pool_scores,
     eig_score,
     epig_pool_scores,
     epig_score,
+    grand_pool_scores,
     grand_score,
     ig_score,
     jepig_pool_scores,
@@ -73,6 +76,7 @@ from .similarity import (
     eig_uninformative,
     eig_uninformative_limit,
     eig_via_similarity,
+    eig_via_similarity_pool,
     epig_via_similarity,
     gram,
     gram_weighted,
@@ -96,6 +100,7 @@ from .prediction import (
     epig_mc,
     epig_mc_pool,
     joint_eig_exact,
+    mc_pool_scores,
     predictive_probs,
     spearman,
 )

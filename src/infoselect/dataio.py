@@ -45,9 +45,34 @@ def load_csv(path) -> Dataset:
     d = len(feature_cols)
     width = len(header)
 
-    features = np.zeros((len(rows) - 1, d))
-    labels = np.zeros(len(rows) - 1) if has_labels else None
-    for r, row in enumerate(rows[1:]):
+    body = rows[1:]
+    values = _parse_body(body, width)
+    if values is None:
+        values = _parse_cells(body, d, width)
+    features = np.ascontiguousarray(values[:, :d])
+    labels = values[:, d].copy() if has_labels else None
+    if labels is not None and labels.size and np.all(labels == np.floor(labels)):
+        labels = labels.astype(np.int64)
+    elif labels is not None and labels.size == 0:
+        labels = labels.astype(np.int64)
+    return Dataset(features, labels)
+
+
+def _parse_body(body: list[list[str]], width: int) -> np.ndarray | None:
+    """Every cell as a float in one conversion, or None if any row or cell is bad."""
+    if any(len(row) != width for row in body):
+        return None
+    try:
+        values = np.array(body, dtype=float).reshape(len(body), width)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_cells(body: list[list[str]], d: int, width: int) -> np.ndarray:
+    """Cell-by-cell parse that raises for the first bad row or cell in reading order."""
+    values = np.zeros((len(body), width))
+    for r, row in enumerate(body):
         if len(row) != width:
             raise MalformedHeader(
                 f"row {r} has {len(row)} cells, expected {width}"
@@ -59,21 +84,14 @@ def load_csv(path) -> Dataset:
                 raise NonNumericCell(
                     f"cell ({r},{c}) is not numeric: {cell!r}", row=r, col=c
                 ) from None
-            if c < d:
-                if not np.isfinite(value):
+            if not np.isfinite(value):
+                if c < d:
                     raise NonNumericCell(
                         f"cell ({r},{c}) is not finite: {cell!r}", row=r, col=c
                     )
-                features[r, c] = value
-            else:
-                if not np.isfinite(value):
-                    raise LabelOutOfRange(f"label in row {r} is not finite: {cell!r}")
-                labels[r] = value
-    if labels is not None and labels.size and np.all(labels == np.floor(labels)):
-        labels = labels.astype(np.int64)
-    elif labels is not None and labels.size == 0:
-        labels = labels.astype(np.int64)
-    return Dataset(features, labels)
+                raise LabelOutOfRange(f"label in row {r} is not finite: {cell!r}")
+            values[r, c] = value
+    return values
 
 
 def save_csv(path, data: Dataset):

@@ -162,15 +162,44 @@ class Head:
         """validate_labels for one label, returned as a Python scalar."""
         return self.validate_labels([y])[0].item()
 
+    def residual(self, logits: np.ndarray, labels) -> np.ndarray:
+        """Gradient of the nll in the logits: pi(z) - e_y, or z - y (Gaussian).
+
+        pi is the clamped predictive. Leading axes of logits (..., C) are
+        batch axes matched by labels (...); labels must already be valid.
+        """
+        z = np.asarray(logits, dtype=float)
+        y = np.asarray(labels)[..., None]
+        if self.kind == GAUSSIAN:
+            return z - y
+        return self.predictive(z) - (np.arange(self.num_outputs) == y)
+
+    def label_draws(self, rng: np.random.Generator, size=None):
+        """The variates labels_from_draws turns into labels.
+
+        Standard normals for the Gaussian head, uniforms on [0, 1) for the
+        categorical head; one per label, consumed in order.
+        """
+        return rng.standard_normal(size) if self.kind == GAUSSIAN else rng.random(size)
+
+    def labels_from_draws(self, logits: np.ndarray, draws) -> np.ndarray:
+        """Labels from the predictive at logits (..., C), one per draw (...).
+
+        Gaussian: z + draw. Categorical: inverse CDF, the number of entries
+        of the normalized cumulative predictive at or below the uniform draw.
+        """
+        z = np.asarray(logits, dtype=float)
+        u = np.asarray(draws, dtype=float)
+        if self.kind == GAUSSIAN:
+            return z[..., 0] + u
+        pi = self.predictive(z)
+        cdf = np.cumsum(pi / pi.sum(axis=-1, keepdims=True), axis=-1)
+        cdf /= cdf[..., -1:]
+        return (cdf <= u[..., None]).sum(axis=-1)
+
     def sample_label(self, logits: np.ndarray, rng: np.random.Generator):
         """Draw one label from the predictive distribution at the logits."""
-        if self.kind == GAUSSIAN:
-            return float(rng.normal(loc=float(logits[0]), scale=1.0))
-        return int(rng.choice(self.num_outputs, p=self._normalized(logits)))
-
-    def _normalized(self, logits):
-        pi = self.predictive(logits)
-        return pi / pi.sum()
+        return self.labels_from_draws(logits, self.label_draws(rng)).item()
 
 
 @dataclass(frozen=True)
@@ -257,13 +286,18 @@ def score_jacobian(model: GlmModel, x, y) -> np.ndarray:
     Categorical block c is (pi_c - 1{c == y}) * x; Gaussian is (z - y) * x.
     """
     x = _check_features(model, x)
-    z = model.weights.T @ x
     y = model.head.validate_label(y)
-    if model.head.kind == GAUSSIAN:
-        return (z[0] - y) * x
-    resid = model.head.predictive(z).copy()
-    resid[y] -= 1.0
-    return np.outer(resid, x).reshape(-1)
+    return score_jacobians(model, x[None, :], np.asarray([y]))[0]
+
+
+def score_jacobians(model: GlmModel, xs, ys) -> np.ndarray:
+    """score_jacobian of every row of xs at its label, an (n, k) array.
+
+    Labels must already be valid for the head.
+    """
+    xs = np.asarray(xs, dtype=float)
+    resid = model.head.residual(xs @ model.weights, ys)
+    return (resid[:, :, None] * xs[:, None, :]).reshape(xs.shape[0], -1)
 
 
 def observed_information(model: GlmModel, x, y=None) -> PsdMatrix:
@@ -349,13 +383,7 @@ def _map_objective(model, data, lam):
 
 def _map_gradient(model, data, lam):
     """lam w + sum_n score_jacobian(x_n, y_n); the labels are pre-validated."""
-    z = data.features @ model.weights
-    y = data.labels
-    if model.head.kind == GAUSSIAN:
-        resid = z - y[:, None]
-    else:
-        resid = model.head.predictive(z)
-        resid[np.arange(data.n), y.astype(np.int64)] -= 1.0
+    resid = model.head.residual(data.features @ model.weights, data.labels)
     return lam * model.flat_weights() + (resid.T @ data.features).reshape(-1)
 
 

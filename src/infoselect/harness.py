@@ -24,13 +24,13 @@ from .errors import (
 )
 from .glm import CATEGORICAL, GAUSSIAN, Dataset, FitInfo, GlmModel, Head, map_fit
 from .posterior import build_posterior
-from .prediction import bald_mc_pool, draw_posterior_samples, epig_mc_pool, spearman
+from .prediction import draw_posterior_samples, mc_pool_scores, spearman
 from .scores import (
     Scorer,
-    egl_score,
+    egl_pool_scores,
     eig_pool_scores,
     epig_pool_scores,
-    grand_score,
+    grand_pool_scores,
     jepig_pool_scores,
 )
 from .selection import (
@@ -42,7 +42,7 @@ from .selection import (
     greedy_logdet,
     top_k,
 )
-from .similarity import HARD, SAMPLED, build_data_matrix, eig_via_similarity
+from .similarity import HARD, build_data_matrix, eig_via_similarity_pool
 
 # Stage offsets added to the master seed. Each pipeline stage draws from
 # its own stream, so enlarging one stage's consumption (more MC samples,
@@ -410,8 +410,9 @@ def compute_scores(
     """One score column per requested method id, in request order.
 
     Families sharing work are batched: the eval-Fisher term is built once
-    per transductive family and the posterior is sampled once for both
-    prediction-space methods. `grand` needs pool labels.
+    per transductive family, the posterior is sampled once, and one Monte
+    Carlo pass gives both prediction-space columns. `eig_logdet_sim` draws
+    row i's label from seed + LABEL_SEED + i. `grand` needs pool labels.
     """
     methods = tuple(methods)
     for name in methods:
@@ -445,40 +446,44 @@ def compute_scores(
                 pairs_cache[family] = jepig_pool_scores(scorer, pool, eval_xs)
         return pairs_cache[family]
 
-    head = scorer.model.head
+    mc_cache: dict[str, np.ndarray] = {}
+
+    def mc_column(name: str) -> np.ndarray:
+        if name not in mc_cache:
+            # One pass fills both columns; an empty eval set fails under epig_pred.
+            with_epig = name == "epig_pred" or (
+                "epig_pred" in methods and np.size(eval_xs) > 0
+            )
+            ev = eval_xs if with_epig else None
+            bald, epig = mc_pool_scores(posterior_samples(), scorer.model.head, pool, ev)
+            mc_cache["bald_pred"] = bald
+            if epig is not None:
+                mc_cache["epig_pred"] = epig
+        return mc_cache[name]
+
     for name in methods:
         try:
-            if name == "bald_pred":
-                col = bald_mc_pool(posterior_samples(), head, pool)
-            elif name == "epig_pred":
-                col = epig_mc_pool(posterior_samples(), head, pool, eval_xs)
+            if name in ("bald_pred", "epig_pred"):
+                col = mc_column(name)
             elif name in ("eig_logdet", "eig_trace", "epig_logdet", "epig_trace",
                           "jepig_logdet", "jepig_trace"):
                 family, kind = name.rsplit("_", 1)
                 pairs = family_pairs(family)
                 col = np.asarray([getattr(p, kind) for p in pairs])
             elif name == "eig_logdet_sim":
-                col = np.zeros(n_pool)
-                for i in range(n_pool):
-                    g = build_data_matrix(
-                        scorer.model,
-                        Dataset(pool[i : i + 1]),
-                        SAMPLED,
-                        seed=seed + LABEL_SEED + i,
-                    )
-                    col[i] = eig_via_similarity(g, scorer.posterior.precision)
+                col = eig_via_similarity_pool(
+                    scorer.model,
+                    pool,
+                    scorer.posterior.precision,
+                    seed + LABEL_SEED + np.arange(n_pool),
+                )
             elif name == "egl":
-                col = np.asarray([egl_score(scorer, x) for x in pool])
+                col = egl_pool_scores(scorer, pool)
             elif name == "grand":
                 if pool_labels is None:
                     raise MissingLabels("grand scores labeled data only")
                 weights = posterior_samples().weights
-                col = np.asarray(
-                    [
-                        grand_score(scorer, x, y, weights)
-                        for x, y in zip(pool, pool_labels)
-                    ]
-                )
+                col = grand_pool_scores(scorer, pool, pool_labels, weights)
             else:  # pragma: no cover - guarded by the loop above
                 raise ConfigError(f"unknown score method {name!r}")
         except InfoselectError as e:

@@ -4,7 +4,13 @@ These estimators work purely from posterior weight draws and the predictive
 distributions they induce, never from curvature matrices, which makes them
 the reference the weight-space approximations are correlated against.
 Label configurations are always enumerated exactly (up to a guard), never
-sampled. Entropies are in nats.
+sampled. Entropies are in nats, with 0 log 0 = 0 even where a probability
+underflows to exactly zero.
+
+Pool scoring is one chunked pass (`mc_pool_scores`): the logits of a chunk
+of pool rows under all S draws are one matrix product, and the chunk's
+probabilities, laid out (S, C, chunk), give both its BALD and its EPIG
+values, so no whole-pool probability tensor is ever held.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     DegenerateConstantInput,
@@ -25,6 +30,12 @@ from .glm import CATEGORICAL, Head
 from .posterior import GaussianPosterior, sample_weights
 
 JOINT_CONFIG_BUDGET = 10**5
+
+# Pool rows per chunk of the MC pass: the chunk's probabilities and its
+# (eval * C, chunk * C) joint block stay a few MB at the CLI defaults.
+MC_CHUNK = 64
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -63,19 +74,28 @@ def predictive_probs(samples: PosteriorSamples, head: Head, xs) -> np.ndarray:
     xs is an (n_points, D) array; weight rows are unflattened class-major.
     """
     _require_categorical(head)
+    return _probs_by_draw(samples, head, xs).transpose(2, 0, 1)
+
+
+def _probs_by_draw(samples: PosteriorSamples, head: Head, xs) -> np.ndarray:
+    """Class probabilities laid out (n_samples, C, n_points).
+
+    The logits are one BLAS product: row s C + c of the reshaped draws is
+    the weight vector of class c under draw s. Sums over classes then run
+    along a middle axis, which numpy vectorizes over the points.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    c = head.num_outputs
-    d = xs.shape[1]
-    w = samples.weights.reshape(samples.n_samples, c, d)
-    logits = np.einsum("sci,ni->nsc", w, xs)
-    logits -= logits.max(axis=-1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    s, c, d = samples.n_samples, head.num_outputs, xs.shape[1]
+    logits = (samples.weights.reshape(s * c, d) @ xs.T).reshape(s, c, -1)
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
 
-def _entropy(p: np.ndarray, axis: int = -1) -> np.ndarray:
-    return -xlogy(p, p).sum(axis=axis)
+def _entropy(p: np.ndarray, axis=-1) -> np.ndarray:
+    """-sum p log p over axis; a probability of exactly 0 adds 0, not NaN."""
+    return -(p * np.log(np.maximum(p, _TINY))).sum(axis=axis)
 
 
 def bald_mc(samples: PosteriorSamples, model_head: Head, x) -> float:
@@ -92,13 +112,8 @@ def bald_mc(samples: PosteriorSamples, model_head: Head, x) -> float:
 
 
 def bald_mc_pool(samples: PosteriorSamples, model_head: Head, xs) -> np.ndarray:
-    """Vectorized bald_mc over the rows of xs."""
-    if samples.n_samples < 2:
-        raise TooFewSamples("entropy estimates need at least two samples")
-    probs = predictive_probs(samples, model_head, xs)
-    mixture = probs.mean(axis=1)
-    values = _entropy(mixture) - _entropy(probs).mean(axis=1)
-    return np.maximum(0.0, values)
+    """bald_mc of every row of xs; see mc_pool_scores."""
+    return mc_pool_scores(samples, model_head, xs)[0]
 
 
 def joint_eig_exact(samples: PosteriorSamples, model_head: Head, batch_xs) -> float:
@@ -156,42 +171,54 @@ def epig_mc(samples: PosteriorSamples, model_head: Head, x_acq, eval_xs) -> floa
 
 
 def epig_mc_pool(
-    samples: PosteriorSamples, model_head: Head, pool_xs, eval_xs, chunk: int = 64
+    samples: PosteriorSamples, model_head: Head, pool_xs, eval_xs, chunk: int = MC_CHUNK
 ) -> np.ndarray:
-    """Vectorized epig_mc over a candidate pool.
+    """epig_mc of every pool row; see mc_pool_scores."""
+    return mc_pool_scores(samples, model_head, pool_xs, eval_xs, chunk)[1]
 
-    Evaluation predictives are computed once; candidates are processed in
-    chunks so the (eval * C, chunk * C) joint blocks stay small.
+
+def mc_pool_scores(
+    samples: PosteriorSamples, model_head: Head, pool_xs, eval_xs=None,
+    chunk: int = MC_CHUNK,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """bald_mc and epig_mc of every pool row in one chunked pass.
+
+    Returns (bald, epig); epig is None when eval_xs is None. The eval
+    predictives are computed once; each chunk of `chunk` pool rows is
+    turned into probabilities once, and its joint block with the eval
+    points, mean_s pi_e[s, ce] pi_a[s, ca] for every (e, ce, a, ca), is a
+    single matrix product.
     """
+    _require_categorical(model_head)
     if samples.n_samples < 2:
         raise TooFewSamples("entropy estimates need at least two samples")
-    eval_arr = np.atleast_2d(np.asarray(eval_xs, dtype=float))
-    if eval_arr.size == 0:
-        raise EmptyEvalSet("epig needs at least one eval point")
     pool = np.atleast_2d(np.asarray(pool_xs, dtype=float))
-    n, m = pool.shape[0], eval_arr.shape[0]
-    s = samples.n_samples
-    c = model_head.num_outputs
+    n, s, c = pool.shape[0], samples.n_samples, model_head.num_outputs
+    bald = np.empty(n)
+    epig = None
+    if eval_xs is not None:
+        eval_arr = np.atleast_2d(np.asarray(eval_xs, dtype=float))
+        if eval_arr.size == 0:
+            raise EmptyEvalSet("epig needs at least one eval point")
+        m = eval_arr.shape[0]
+        probs_eval = _probs_by_draw(samples, model_head, eval_arr)
+        # Row ce m + e of eval_flat holds pi_e[:, ce] over the draws.
+        eval_flat = probs_eval.reshape(s, c * m).T
+        h_eval = _entropy(probs_eval.mean(axis=0), axis=0)
+        epig = np.empty(n)
 
-    probs_eval = predictive_probs(samples, model_head, eval_arr)
-    # (m*C, S) layout so each chunk is a single matrix product.
-    eval_flat = probs_eval.transpose(0, 2, 1).reshape(m * c, s)
-    h_eval = _entropy(probs_eval.mean(axis=1))
-
-    out = np.empty(n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        probs_acq = predictive_probs(samples, model_head, pool[start:stop])
-        bsize = stop - start
-        acq_flat = probs_acq.transpose(1, 0, 2).reshape(s, bsize * c)
-        # joint[(e, ce), (a, ca)] = mean_s pi_e[s, ce] * pi_a[s, ca]
-        joint = (eval_flat @ acq_flat) / s
-        joint = joint.reshape(m, c, bsize, c)
-        h_joint = -xlogy(joint, joint).sum(axis=(1, 3))
-        h_acq = _entropy(probs_acq.mean(axis=1))
-        mi = h_eval[:, None] + h_acq[None, :] - h_joint
-        out[start:stop] = mi.mean(axis=0)
-    return out
+        probs = _probs_by_draw(samples, model_head, pool[start:stop])
+        h_acq = _entropy(probs.mean(axis=0), axis=0)
+        bald[start:stop] = h_acq - _entropy(probs, axis=1).mean(axis=0)
+        if epig is not None:
+            # joint[(ce, e), (ca, a)] = mean_s pi_e[s, ce] pi_a[s, ca]
+            joint = eval_flat @ probs.reshape(s, c * (stop - start))
+            joint /= s
+            h_joint = _entropy(joint.reshape(c, m, c, stop - start), axis=(0, 2))
+            epig[start:stop] = (h_eval[:, None] + h_acq[None, :] - h_joint).mean(axis=0)
+    return np.maximum(0.0, bald), epig
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, EmptyEvalSet, EmptySampleSet, NotPositiveDefinite
-from .glm import Dataset, GlmModel, candidate_projection, fisher_batch, score_jacobian
+from .glm import Dataset, GlmModel, candidate_projection, fisher_batch
 from .linalg import _cholesky_jittered, chol_logdet, factor_inverse, factor_logdet
 from .posterior import GaussianPosterior, entropy_approx
 
@@ -301,6 +301,13 @@ def jepig_pool_scores(s: Scorer, pool_xs, eval_xs) -> list[ScorePair]:
     return _transductive_pool(s, pool_xs, eval_fisher(s, eval_xs, "sum"))
 
 
+def _pool_rows(s: Scorer, pool_xs) -> np.ndarray:
+    xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != s.model.dim:
+        raise DimensionMismatch(f"feature rows {xs.shape}, expected (n, {s.model.dim})")
+    return xs
+
+
 def egl_score(s: Scorer, x) -> float:
     """Expected squared gradient norm under the predictive distribution.
 
@@ -310,8 +317,14 @@ def egl_score(s: Scorer, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (s.model.dim,):
         raise DimensionMismatch(f"feature shape {x.shape}, expected ({s.model.dim},)")
-    lam = s.model.head.curvature(s.model.weights.T @ x)
-    return float(x @ x) * float(np.trace(lam))
+    return float(egl_pool_scores(s, x[None, :])[0])
+
+
+def egl_pool_scores(s: Scorer, pool_xs) -> np.ndarray:
+    """egl_score of every pool row: ||x_n||^2 tr L_n."""
+    xs = _pool_rows(s, pool_xs)
+    traces = np.trace(s.curvatures(xs), axis1=-2, axis2=-1)
+    return np.einsum("nd,nd->n", xs, xs) * traces
 
 
 def grand_score(s: Scorer, x, y, weight_samples) -> float:
@@ -319,13 +332,39 @@ def grand_score(s: Scorer, x, y, weight_samples) -> float:
 
     weight_samples holds flattened weight vectors, one per row. Maximize.
     """
+    xs = np.asarray(x, dtype=float)[None, :]
+    return float(grand_pool_scores(s, xs, [y], weight_samples)[0])
+
+
+def grand_pool_scores(
+    s: Scorer, pool_xs, labels, weight_samples, chunk: int = 64
+) -> np.ndarray:
+    """grand_score of every pool row at its label.
+
+    Under draw w the squared score is ||x||^2 ||r_w||^2, r_w the logit
+    residual (pi_w(x) - e_y, or z_w - y on the Gaussian head). Rows are
+    taken `chunk` at a time, so the (chunk, draws, C) logits stay small.
+    """
     samples = np.atleast_2d(np.asarray(weight_samples, dtype=float))
     if samples.size == 0:
         raise EmptySampleSet("need at least one weight sample")
+    if samples.shape[1] != s.num_weights:
+        raise DimensionMismatch(
+            f"weight samples of length {samples.shape[1]}, expected {s.num_weights}"
+        )
+    xs = _pool_rows(s, pool_xs)
     head = s.model.head
-    total = 0.0
-    for flat in samples:
-        m = GlmModel.from_flat(head, s.model.dim, flat)
-        j = score_jacobian(m, x, y)
-        total += float(j @ j)
-    return total / samples.shape[0]
+    ys = head.validate_labels(labels)
+    if ys.shape[0] != xs.shape[0]:
+        raise DimensionMismatch(f"{ys.shape[0]} labels for {xs.shape[0]} rows")
+    n_draws, c = samples.shape[0], head.num_outputs
+    # Row w C + c holds the class-c weights of draw w.
+    weights = samples.reshape(n_draws * c, s.model.dim)
+    out = np.empty(xs.shape[0])
+    for start in range(0, xs.shape[0], chunk):
+        rows = xs[start : start + chunk]
+        z = (rows @ weights.T).reshape(rows.shape[0], n_draws, c)
+        resid = head.residual(z, ys[start : start + chunk, None])
+        sq_norms = np.einsum("nd,nd->n", rows, rows)
+        out[start : start + chunk] = sq_norms * (resid**2).sum(axis=(1, 2)) / n_draws
+    return out

@@ -9,6 +9,13 @@ is cheap when the pool is smaller than the weight count.
 Rows require a label per point. Sampled labels make G^T G an unbiased
 one-sample estimate of the summed Fisher information; hard (argmax) pseudo
 labels bias it, collapsing to exactly zero for the Gaussian head.
+
+Data matrices are built in one batched pass in every label mode (labels,
+then `glm.score_jacobians`). Sampled labels are inverse-CDF transforms of
+one uniform (standard normal on the Gaussian head) per row, drawn in row
+order from the seeded generator. A one-row score per pool point,
+1/2 log(1 + g^T P^-1 g), is a column norm after one triangular solve
+against P's cached Cholesky factor (`eig_via_similarity_pool`).
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .errors import DimensionMismatch, MissingLabels, SingularGram
-from .glm import Dataset, GlmModel, score_jacobian
+from .errors import DimensionMismatch, SingularGram
+from .glm import GAUSSIAN, Dataset, GlmModel, score_jacobians
 from .linalg import PsdMatrix, as_psd, chol_logdet, solve_psd
 from .scores import logdet_ratio
 
@@ -112,26 +120,37 @@ def build_data_matrix(
         raise ValueError(f"unknown label mode {label_mode!r}")
     if repeats != 1 and label_mode != SAMPLED:
         raise ValueError("repeats only applies to sampled labels")
-    if label_mode == GIVEN:
-        given = data.require_labels()
-    rng = np.random.default_rng(seed) if label_mode == SAMPLED else None
-
     head = model.head
-    rows = []
-    for i, x in enumerate(data.features):
-        z = model.weights.T @ x
-        for _ in range(repeats):
-            if label_mode == HARD:
-                if head.kind == "gaussian":
-                    y = float(z[0])
-                else:
-                    y = int(np.argmax(head.predictive(z)))
-            elif label_mode == SAMPLED:
-                y = head.sample_label(z, rng)
-            else:
-                y = given[i]
-            rows.append(score_jacobian(model, x, y))
-    return JacobianDataMatrix(np.asarray(rows), label_mode, seed)
+    z = data.features @ model.weights
+    if label_mode == HARD and head.kind == GAUSSIAN:
+        labels = z[:, 0]
+    elif label_mode == HARD:
+        labels = np.argmax(head.predictive(z), axis=1)
+    elif label_mode == SAMPLED:
+        z = np.repeat(z, repeats, axis=0)
+        draws = head.label_draws(np.random.default_rng(seed), z.shape[0])
+        labels = head.labels_from_draws(z, draws)
+    else:
+        labels = head.validate_labels(data.require_labels())
+    xs = np.repeat(data.features, repeats, axis=0)
+    return JacobianDataMatrix(score_jacobians(model, xs, labels), label_mode, seed)
+
+
+def eig_via_similarity_pool(model: GlmModel, pool_xs, precision, seeds) -> np.ndarray:
+    """eig_via_similarity of each pool row's one-row sampled data matrix.
+
+    Row n's label is the one build_data_matrix(..., SAMPLED, seed=seeds[n])
+    draws for that row alone. With P = L L^T (the cached factor), the score
+    is 1/2 log(1 + g_n^T P^-1 g_n) = 1/2 log1p(||L^-1 g_n||^2), so the whole
+    pool takes one triangular solve.
+    """
+    xs = np.asarray(pool_xs, dtype=float)
+    head = model.head
+    draws = [head.label_draws(np.random.default_rng(int(seed))) for seed in seeds]
+    labels = head.labels_from_draws(xs @ model.weights, np.asarray(draws))
+    g = score_jacobians(model, xs, labels)
+    v = scipy.linalg.solve_triangular(as_psd(precision).factor(), g.T, lower=True)
+    return 0.5 * np.log1p(np.einsum("kn,kn->n", v, v))
 
 
 def _check_k(a: JacobianDataMatrix, b: JacobianDataMatrix):

@@ -1,12 +1,17 @@
-"""The rank-C candidate core against the k x k per-candidate oracles.
+"""Batched paths against the per-candidate and per-row loops they replaced.
 
 Pool scores, greedy log-det selection and BAIT evaluate every candidate
 through `candidate_projection` and the C x C Sylvester/Woodbury identities.
-The oracles below are the per-candidate loops those paths replaced: one or
+Their oracles are the per-candidate loops those paths replaced: one or
 two k x k Cholesky factorizations per candidate (and per step). Values must
 agree to 1e-10 relative to the k x k quantities the oracle subtracts; picks
 must agree except at a near tie (relative gap < 1e-9 in the oracle's own
 values), after which the two trajectories may part.
+
+The score columns built in one array pass (sampled labels, data matrices,
+`eig_logdet_sim`, `egl`, `grand`, the Monte Carlo BALD/EPIG pass) are held
+to the per-row loops they replaced, to 1e-10 relative to the terms those
+loops subtract; sampled labels must be equal.
 """
 
 import numpy as np
@@ -15,21 +20,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoselect.errors import NotPositiveDefinite
-from infoselect.glm import GlmModel, Head, candidate_projection, fisher_batch, fisher_information
+from infoselect.glm import (
+    Dataset,
+    GlmModel,
+    Head,
+    candidate_projection,
+    fisher_batch,
+    fisher_information,
+)
 from infoselect.linalg import PsdMatrix, _cholesky_jittered, factor_inverse, factor_logdet
 from infoselect.posterior import GaussianPosterior
+from infoselect.prediction import (
+    PosteriorSamples,
+    bald_mc,
+    epig_mc,
+    mc_pool_scores,
+    predictive_probs,
+)
 from infoselect.scores import (
     Scorer,
     candidate_logdet_ratios,
     candidate_trace_ratios,
+    egl_pool_scores,
     eig_pool_scores,
     epig_pool_scores,
     eval_fisher,
+    grand_pool_scores,
     jepig_pool_scores,
     logdet_ratio,
     trace_ratio,
 )
 from infoselect.selection import bait_forward_backward, greedy_logdet
+from infoselect.similarity import (
+    GIVEN,
+    HARD,
+    SAMPLED,
+    JacobianDataMatrix,
+    build_data_matrix,
+    eig_via_similarity,
+    eig_via_similarity_pool,
+)
 
 RTOL = 1e-10
 NEAR_TIE = 1e-9
@@ -300,3 +330,155 @@ def test_bait_matches_oracle(seed, categorical, few_rows, structure, logit_scale
     _, q_factor = s.precision_with(pool[list(got.indices)])
     set_value = 2.0 * trace_ratio(eval_fisher(s, evals, "mean"), q_factor)
     assert_close(got.objective_value, set_value, scale)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-row loops behind the batched score columns
+
+
+def oracle_sample_label(head, z, rng):
+    """The label rule before inverse-CDF draws: rng.normal and rng.choice."""
+    if head.kind == "gaussian":
+        return float(rng.normal(loc=float(z[0]), scale=1.0))
+    pi = head.predictive(z)
+    return int(rng.choice(head.num_outputs, p=pi / pi.sum()))
+
+
+def oracle_score_jacobian(model, x, y):
+    z = model.weights.T @ x
+    if model.head.kind == "gaussian":
+        return (z[0] - y) * x
+    resid = model.head.predictive(z).copy()
+    resid[y] -= 1.0
+    return np.outer(resid, x).reshape(-1)
+
+
+def oracle_data_matrix(model, xs, label_mode, seed=None, repeats=1, given=None):
+    """build_data_matrix's row loop: one label and one gradient per row."""
+    head = model.head
+    rng = np.random.default_rng(seed) if label_mode == SAMPLED else None
+    rows = []
+    for i, x in enumerate(xs):
+        z = model.weights.T @ x
+        for _ in range(repeats):
+            if label_mode == HARD:
+                y = float(z[0]) if head.kind == "gaussian" else int(np.argmax(head.predictive(z)))
+            elif label_mode == SAMPLED:
+                y = oracle_sample_label(head, z, rng)
+            else:
+                y = given[i]
+            rows.append(oracle_score_jacobian(model, x, y))
+    return np.asarray(rows)
+
+
+def oracle_eig_logdet_sim(s, pool, seed):
+    """The eig_logdet_sim column loop: a one-row sampled matrix per row."""
+    return np.array([
+        eig_via_similarity(
+            JacobianDataMatrix(oracle_data_matrix(s.model, x[None, :], SAMPLED, seed + i),
+                               SAMPLED),
+            s.posterior.precision,
+        )
+        for i, x in enumerate(pool)
+    ])
+
+
+def oracle_grand(s, x, y, weights):
+    """Mean squared gradient norm, one model rebuilt per weight draw."""
+    return np.mean([
+        float(np.sum(oracle_score_jacobian(
+            GlmModel.from_flat(s.model.head, s.model.dim, w), x, y) ** 2))
+        for w in weights
+    ])
+
+
+def random_labels(rng, head, n):
+    if head.kind == "gaussian":
+        return 3.0 * rng.standard_normal(n)
+    return rng.integers(0, head.num_outputs, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**problems)
+def test_batched_labels_match_sample_label(seed, categorical, few_rows, structure, logit_scale):
+    s, pool, _ = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    head = s.model.head
+    z = pool @ s.model.weights
+    rng = np.random.default_rng(seed)
+    batched = head.labels_from_draws(z, head.label_draws(rng, len(pool)))
+    rng = np.random.default_rng(seed)
+    singles = [head.sample_label(row, rng) for row in z]
+    rng = np.random.default_rng(seed)
+    old = [oracle_sample_label(head, row, rng) for row in z]
+    np.testing.assert_array_equal(batched, singles)
+    np.testing.assert_array_equal(batched, old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**problems)
+def test_data_matrix_matches_row_loop(seed, categorical, few_rows, structure, logit_scale):
+    s, pool, _ = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    model = s.model
+    labels = random_labels(np.random.default_rng(seed), model.head, len(pool))
+    cases = (
+        (HARD, {}),
+        (SAMPLED, {"seed": seed, "repeats": 3}),
+        (GIVEN, {}),
+    )
+    for mode, kw in cases:
+        got = build_data_matrix(model, Dataset(pool, labels), mode, **kw).rows
+        want = oracle_data_matrix(model, pool, mode, given=labels, **kw)
+        assert got.shape == want.shape
+        assert_close(got, want, np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**problems)
+def test_eig_logdet_sim_matches_row_loop(seed, categorical, few_rows, structure, logit_scale):
+    # each row's 1/2 logdet(1 + g P^-1 g^T) rounds relative to the 1 it adds
+    s, pool, _ = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    seeds = seed + 401 + np.arange(len(pool))
+    got = eig_via_similarity_pool(s.model, pool, s.posterior.precision, seeds)
+    assert_close(got, oracle_eig_logdet_sim(s, pool, seed + 401), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**problems)
+def test_egl_and_grand_match_row_loops(seed, categorical, few_rows, structure, logit_scale):
+    # scale: ||x||^2 times the size of the terms tr L and ||r||^2 cancel
+    s, pool, _ = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    model = s.model
+    sq_norms = np.sum(pool**2, axis=1)
+    want = [float(x @ x) * float(np.trace(model.head.curvature(model.weights.T @ x)))
+            for x in pool]
+    assert_close(egl_pool_scores(s, pool), want, sq_norms)
+
+    rng = np.random.default_rng(seed)
+    weights = model.flat_weights() + rng.standard_normal((7, model.num_weights))
+    labels = random_labels(rng, model.head, len(pool))
+    got = grand_pool_scores(s, pool, labels, weights, chunk=2)
+    want = [oracle_grand(s, x, y, weights) for x, y in zip(pool, labels)]
+    logits = np.einsum("nd,wcd->nwc", pool, weights.reshape(7, -1, model.dim))
+    sizes = 1.0 + labels**2 + np.mean(np.sum(logits**2, axis=2), axis=1)
+    assert_close(got, want, sq_norms * sizes)
+
+
+@pytest.mark.parametrize("logit_scale", [0.3, 3.0, 60.0])
+def test_mc_pass_matches_per_point_estimators(logit_scale):
+    # 11 pool rows in chunks of 4; at logit scale 60 some probabilities
+    # are exactly 0. Values round relative to the entropies they subtract.
+    rng = np.random.default_rng(int(logit_scale))
+    c, d = 4, 3
+    head = Head.categorical(c)
+    samples = PosteriorSamples(logit_scale * rng.standard_normal((50, c * d)), seed=0)
+    pool = 5.0 * rng.standard_normal((11, d))
+    evals = 5.0 * rng.standard_normal((3, d))
+    if logit_scale == 60.0:
+        assert np.any(predictive_probs(samples, head, pool) == 0.0)
+    bald, epig = mc_pool_scores(samples, head, pool, evals, chunk=4)
+    assert np.all(np.isfinite(bald)) and np.all(np.isfinite(epig))
+    assert_close(bald, [bald_mc(samples, head, x) for x in pool], np.log(c))
+    assert_close(epig, [epig_mc(samples, head, x, evals) for x in pool], 2 * np.log(c))
+    only_bald, none = mc_pool_scores(samples, head, pool, chunk=4)
+    assert none is None
+    np.testing.assert_array_equal(only_bald, bald)

@@ -114,6 +114,22 @@ def test_load_csv_non_numeric_cell_is_located(tmp_path):
         assert e.value.row == 1 and e.value.col == 1
 
 
+def test_load_csv_reports_the_first_bad_row_or_cell(tmp_path):
+    # the one-call parse fails on any bad cell; the cell loop then names
+    # the first one in reading order
+    p = tmp_path / "d.csv"
+    p.write_text("f0,f1,y\n1.0,2.0,0\n1.0,oops,1\n1.0\n")
+    with pytest.raises(NonNumericCell) as e:
+        load_csv(p)
+    assert (e.value.row, e.value.col) == (1, 1)
+    p.write_text("f0,f1,y\n1.0\n1.0,oops,1\n")
+    with pytest.raises(MalformedHeader, match="row 0 has 1 cells"):
+        load_csv(p)
+    p.write_text("f0,f1,y\n1.0,2.0,nan\n1.0,inf,1\n")
+    with pytest.raises(LabelOutOfRange, match="row 0"):
+        load_csv(p)
+
+
 def test_load_csv_rejects_non_finite_labels(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("f0,y\n1.0,inf\n")
