@@ -167,6 +167,21 @@ def solve_psd(a, b) -> np.ndarray:
     return scipy.linalg.cho_solve((m.factor(), True), rhs)
 
 
+def solve_lower(a, b) -> np.ndarray:
+    """Solve L X = B, where L is the lower Cholesky factor of A.
+
+    L is the factor solve_psd uses, so ||X||^2 = B^T A^-1 B column by
+    column. B may be a vector or a matrix of right hand sides.
+    """
+    m = as_psd(a)
+    rhs = np.asarray(b, dtype=float)
+    if rhs.shape[0] != m.dim:
+        raise DimensionMismatch(
+            f"matrix of dim {m.dim} against right hand side {rhs.shape}"
+        )
+    return scipy.linalg.solve_triangular(m.factor(), rhs, lower=True)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with entry (iP+k, jQ+l) = A[i,j] * B[k,l]."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))

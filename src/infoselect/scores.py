@@ -31,6 +31,7 @@ from .errors import DimensionMismatch, EmptyEvalSet, EmptySampleSet, NotPositive
 from .glm import Dataset, GlmModel, candidate_projection, fisher_batch
 from .linalg import _cholesky_jittered, chol_logdet, factor_inverse, factor_logdet
 from .posterior import GaussianPosterior, entropy_approx
+from .prediction import MC_CHUNK
 
 
 @dataclass(frozen=True)
@@ -336,14 +337,12 @@ def grand_score(s: Scorer, x, y, weight_samples) -> float:
     return float(grand_pool_scores(s, xs, [y], weight_samples)[0])
 
 
-def grand_pool_scores(
-    s: Scorer, pool_xs, labels, weight_samples, chunk: int = 64
-) -> np.ndarray:
+def grand_pool_scores(s: Scorer, pool_xs, labels, weight_samples) -> np.ndarray:
     """grand_score of every pool row at its label.
 
     Under draw w the squared score is ||x||^2 ||r_w||^2, r_w the logit
     residual (pi_w(x) - e_y, or z_w - y on the Gaussian head). Rows are
-    taken `chunk` at a time, so the (chunk, draws, C) logits stay small.
+    taken MC_CHUNK at a time, so the (chunk, draws, C) logits stay small.
     """
     samples = np.atleast_2d(np.asarray(weight_samples, dtype=float))
     if samples.size == 0:
@@ -361,10 +360,11 @@ def grand_pool_scores(
     # Row w C + c holds the class-c weights of draw w.
     weights = samples.reshape(n_draws * c, s.model.dim)
     out = np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], chunk):
-        rows = xs[start : start + chunk]
+    for start in range(0, xs.shape[0], MC_CHUNK):
+        stop = start + MC_CHUNK
+        rows = xs[start:stop]
         z = (rows @ weights.T).reshape(rows.shape[0], n_draws, c)
-        resid = head.residual(z, ys[start : start + chunk, None])
+        resid = head.residual(z, ys[start:stop, None])
         sq_norms = np.einsum("nd,nd->n", rows, rows)
-        out[start : start + chunk] = sq_norms * (resid**2).sum(axis=(1, 2)) / n_draws
+        out[start:stop] = sq_norms * (resid**2).sum(axis=(1, 2)) / n_draws
     return out

@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, SingularGram
 from .glm import GAUSSIAN, Dataset, GlmModel, score_jacobians
-from .linalg import PsdMatrix, as_psd, chol_logdet, solve_psd
+from .linalg import PsdMatrix, as_psd, chol_logdet, solve_lower, solve_psd
 from .scores import logdet_ratio
 
 HARD = "hard"
@@ -149,7 +148,7 @@ def eig_via_similarity_pool(model: GlmModel, pool_xs, precision, seeds) -> np.nd
     draws = [head.label_draws(np.random.default_rng(int(seed))) for seed in seeds]
     labels = head.labels_from_draws(xs @ model.weights, np.asarray(draws))
     g = score_jacobians(model, xs, labels)
-    v = scipy.linalg.solve_triangular(as_psd(precision).factor(), g.T, lower=True)
+    v = solve_lower(precision, g.T)
     return 0.5 * np.log1p(np.einsum("kn,kn->n", v, v))
 
 

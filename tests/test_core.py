@@ -14,11 +14,14 @@ to the per-row loops they replaced, to 1e-10 relative to the terms those
 loops subtract; sampled labels must be equal.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoselect import scores as scores_module
 from infoselect.errors import NotPositiveDefinite
 from infoselect.glm import (
     Dataset,
@@ -456,7 +459,8 @@ def test_egl_and_grand_match_row_loops(seed, categorical, few_rows, structure, l
     rng = np.random.default_rng(seed)
     weights = model.flat_weights() + rng.standard_normal((7, model.num_weights))
     labels = random_labels(rng, model.head, len(pool))
-    got = grand_pool_scores(s, pool, labels, weights, chunk=2)
+    with mock.patch.object(scores_module, "MC_CHUNK", 2):  # chunk boundaries
+        got = grand_pool_scores(s, pool, labels, weights)
     want = [oracle_grand(s, x, y, weights) for x, y in zip(pool, labels)]
     logits = np.einsum("nd,wcd->nwc", pool, weights.reshape(7, -1, model.dim))
     sizes = 1.0 + labels**2 + np.mean(np.sum(logits**2, axis=2), axis=1)

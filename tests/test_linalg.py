@@ -12,6 +12,7 @@ from infoselect.linalg import (
     chol_logdet,
     jitter_to_pd,
     kron,
+    solve_lower,
     solve_psd,
 )
 
@@ -94,6 +95,20 @@ def test_solve_recovers_known_solution():
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         solve_psd(np.eye(3), np.zeros(4))
+
+
+def test_solve_lower_whitens_against_the_inverse():
+    # independent oracle: explicit inverse for the quadratic forms, numpy's
+    # Cholesky for the factor
+    rng = np.random.default_rng(23)
+    a = random_spd(rng, 6)
+    b = rng.standard_normal((6, 4))
+    x = solve_lower(a, b)
+    assert np.allclose(np.linalg.cholesky(a) @ x, b, atol=1e-10)
+    want = np.einsum("kn,kn->n", b, np.linalg.inv(a) @ b)
+    assert np.allclose(np.einsum("kn,kn->n", x, x), want, rtol=1e-8)
+    with pytest.raises(DimensionMismatch):
+        solve_lower(np.eye(3), np.zeros(4))
 
 
 def test_kron_scalar_factor():
