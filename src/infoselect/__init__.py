@@ -19,6 +19,8 @@ from .errors import (
     LengthMismatch,
     MalformedHeader,
     MissingLabels,
+    NonFiniteInput,
+    NonFiniteMatrix,
     NonNumericCell,
     NotPositiveDefinite,
     NumericalError,
@@ -27,6 +29,7 @@ from .errors import (
     TooFewSamples,
     TooManyConfigurations,
     TooManySubsets,
+    UnsupportedHead,
 )
 from .linalg import PsdMatrix, as_psd, chol_logdet, jitter_to_pd, kron, solve_psd
 from .glm import (
@@ -90,6 +93,7 @@ from .selection import (
     bait_forward_backward,
     exhaustive_best,
     greedy_logdet,
+    random_batch,
     top_k,
 )
 from .prediction import (

@@ -51,9 +51,7 @@ def load_csv(path) -> Dataset:
         values = _parse_cells(body, d, width)
     features = np.ascontiguousarray(values[:, :d])
     labels = values[:, d].copy() if has_labels else None
-    if labels is not None and labels.size and np.all(labels == np.floor(labels)):
-        labels = labels.astype(np.int64)
-    elif labels is not None and labels.size == 0:
+    if labels is not None and np.all(labels == np.floor(labels)):  # True when empty
         labels = labels.astype(np.int64)
     return Dataset(features, labels)
 

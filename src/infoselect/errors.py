@@ -35,8 +35,20 @@ class DidNotConverge(NumericalError):
         self.iterations = iterations
 
 
+class NonFiniteMatrix(NumericalError, ValueError):
+    """A matrix built from finite inputs overflowed to NaN or infinity."""
+
+
 class DimensionMismatch(InfoselectError):
     """Array shapes are incompatible with the operation."""
+
+
+class NonFiniteInput(InfoselectError, ValueError):
+    """Input features hold NaN or infinite values."""
+
+
+class UnsupportedHead(InfoselectError, ValueError):
+    """Operation is not defined for the model's output head."""
 
 
 class LabelOutOfRange(InfoselectError):

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     LabelOutOfRange,
     MissingLabels,
+    NonFiniteInput,
 )
 from .linalg import PsdMatrix, solve_psd
 
@@ -55,7 +56,7 @@ class Dataset:
         if feats.ndim != 2:
             raise DimensionMismatch(f"features must be 2-d, got shape {feats.shape}")
         if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
+            raise NonFiniteInput("features must be finite")
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
             labels = np.asarray(self.labels)
@@ -419,13 +420,19 @@ def map_fit(
     model = GlmModel(head, np.zeros((data.dim, head.num_outputs)))
     value = _map_objective(model, data, lam)
     mu = 0.0
-    iterations = 0
-    for _ in range(max_iters):
+    for iterations in range(max_iters + 1):
         grad = _map_gradient(model, data, lam)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= tol:
             info = FitInfo(grad_norm=grad_norm, iterations=iterations)
             return (model, info) if full_output else model
+        if iterations == max_iters:
+            raise DidNotConverge(
+                f"gradient norm {grad_norm:.3e} above {tol:.1e} after {max_iters} iterations",
+                weights=model.weights,
+                grad_norm=grad_norm,
+                iterations=iterations,
+            )
         hess = _map_curvature(model, data, lam)
         scale = np.trace(hess) / hess.shape[0]
         for _ in range(60):
@@ -444,16 +451,3 @@ def map_fit(
                 grad_norm=grad_norm,
                 iterations=iterations,
             )
-        iterations += 1
-
-    grad = _map_gradient(model, data, lam)
-    grad_norm = float(np.max(np.abs(grad)))
-    if grad_norm <= tol:
-        info = FitInfo(grad_norm=grad_norm, iterations=iterations)
-        return (model, info) if full_output else model
-    raise DidNotConverge(
-        f"gradient norm {grad_norm:.3e} above {tol:.1e} after {max_iters} iterations",
-        weights=model.weights,
-        grad_norm=grad_norm,
-        iterations=iterations,
-    )

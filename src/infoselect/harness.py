@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+from collections.abc import Callable
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .selection import (
     badge_kmeanspp,
     bait_forward_backward,
     greedy_logdet,
+    random_batch,
     top_k,
 )
 from .similarity import HARD, build_data_matrix, eig_via_similarity_pool
@@ -53,82 +55,132 @@ SAMPLE_SEED = 211
 SELECT_SEED = 307
 LABEL_SEED = 401
 
-# Score method id -> orientation. Maximize columns rank larger-is-better;
-# the transductive proxies approximate a conditional entropy and rank
-# smaller-is-better, so correlation and top-k negate them first.
-SCORE_ORIENTATIONS: dict[str, str] = {
-    "bald_pred": MAXIMIZE,
-    "epig_pred": MAXIMIZE,
-    "eig_logdet": MAXIMIZE,
-    "eig_trace": MAXIMIZE,
-    "epig_logdet": MINIMIZE,
-    "epig_trace": MINIMIZE,
-    "jepig_logdet": MINIMIZE,
-    "jepig_trace": MINIMIZE,
-    "eig_logdet_sim": MAXIMIZE,
-    "egl": MAXIMIZE,
-    "grand": MAXIMIZE,
+
+@dataclasses.dataclass
+class _Run:
+    """The inputs of one scoring or selection call.
+
+    `once` memoizes by key, so the work several methods share (the posterior
+    draws, the Monte Carlo pass, a weight-space family) runs once per call.
+    """
+
+    scorer: Scorer
+    pool: np.ndarray
+    eval_xs: np.ndarray
+    mc_samples: int
+    seed: int
+    pool_labels: np.ndarray | None
+    methods: tuple[str, ...] = ()
+    done: dict = dataclasses.field(default_factory=dict)
+
+    def once(self, key, compute):
+        if key not in self.done:
+            self.done[key] = compute()
+        return self.done[key]
+
+    def samples(self):
+        return self.once("samples", lambda: draw_posterior_samples(
+            self.scorer.posterior, self.mc_samples, self.seed + SAMPLE_SEED))
+
+    def mc(self, name: str) -> np.ndarray:
+        # One pass gives both columns; an empty eval set fails under epig_pred.
+        with_epig = name == "epig_pred" or (
+            "epig_pred" in self.methods and np.size(self.eval_xs) > 0
+        )
+        ev = self.eval_xs if with_epig else None
+        bald, epig = self.once(("mc", with_epig), lambda: mc_pool_scores(
+            self.samples(), self.scorer.model.head, self.pool, ev))
+        return epig if name == "epig_pred" else bald
+
+    def labels(self) -> np.ndarray:
+        if self.pool_labels is None:
+            raise MissingLabels("grand scores labeled data only")
+        return self.pool_labels
+
+
+@dataclasses.dataclass(frozen=True)
+class Method:
+    """One score column: its orientation and how a _Run computes it."""
+
+    orientation: str
+    compute: Callable[[_Run], np.ndarray]
+    categorical_only: bool = False  # Monte Carlo estimators enumerate classes
+    default: bool = True
+
+
+def _family(family: str, orientation: str, pool_scores) -> dict[str, Method]:
+    """The _logdet and _trace rows of a weight-space family, computed once."""
+    return {
+        f"{family}_{kind}": Method(
+            orientation, lambda run, i=i: run.once(family, lambda: pool_scores(run))[i]
+        )
+        for i, kind in enumerate(("logdet", "trace"))
+    }
+
+
+# The one list of score methods. The transductive proxies approximate a
+# conditional entropy and rank smaller-is-better; correlation and top-k negate
+# them first. Rows call this module's names at call time, so wrapping one of
+# them (as the benchmark's tracer does) takes hold.
+SCORE_METHODS: dict[str, Method] = {
+    "bald_pred": Method(MAXIMIZE, lambda run: run.mc("bald_pred"), categorical_only=True),
+    "epig_pred": Method(MAXIMIZE, lambda run: run.mc("epig_pred"), categorical_only=True),
+    **_family("eig", MAXIMIZE, lambda run: eig_pool_scores(run.scorer, run.pool)),
+    **_family("epig", MINIMIZE,
+              lambda run: epig_pool_scores(run.scorer, run.pool, run.eval_xs)),
+    **_family("jepig", MINIMIZE,
+              lambda run: jepig_pool_scores(run.scorer, run.pool, run.eval_xs)),
+    "eig_logdet_sim": Method(MAXIMIZE, lambda run: eig_via_similarity_pool(
+        run.scorer.model, run.pool, run.scorer.posterior.precision,
+        run.seed + LABEL_SEED + np.arange(run.pool.shape[0]))),
+    "egl": Method(MAXIMIZE, lambda run: egl_pool_scores(run.scorer, run.pool),
+                  default=False),
+    "grand": Method(MAXIMIZE, lambda run: grand_pool_scores(
+        run.scorer, run.pool, run.labels(), run.samples().weights), default=False),
 }
 
-# Prediction-space methods whose Monte Carlo estimators enumerate classes.
-CATEGORICAL_ONLY_METHODS = ("bald_pred", "epig_pred")
+SCORE_ORIENTATIONS = {name: m.orientation for name, m in SCORE_METHODS.items()}
+DEFAULT_METHODS = tuple(name for name, m in SCORE_METHODS.items() if m.default)
 
-DEFAULT_METHODS = (
-    "bald_pred",
-    "epig_pred",
-    "eig_logdet",
-    "eig_trace",
-    "epig_logdet",
-    "epig_trace",
-    "jepig_logdet",
-    "jepig_trace",
-    "eig_logdet_sim",
-)
+
+def _categorical_only(name: str) -> bool:
+    """Whether a score or top_k selector needs the categorical head."""
+    method = SCORE_METHODS.get(name.removeprefix("top_k_"))
+    return method is not None and method.categorical_only
 
 
 def default_methods(head: str) -> tuple[str, ...]:
     """DEFAULT_METHODS less those the head cannot score."""
-    if head == GAUSSIAN:
-        return tuple(m for m in DEFAULT_METHODS if m not in CATEGORICAL_ONLY_METHODS)
-    return DEFAULT_METHODS
+    return tuple(m for m in DEFAULT_METHODS if head != GAUSSIAN or not _categorical_only(m))
 
 
-GREEDY_OBJECTIVES = {
-    "greedy_eig_logdet": "eig",
-    "greedy_epig_logdet": "epig",
-    "greedy_jepig_logdet": "jepig",
+def _top_k(name: str):
+    def select(run, k, seed):
+        col = compute_scores((name,), run.scorer, run.pool, run.eval_xs,
+                             mc_samples=run.mc_samples, seed=run.seed,
+                             pool_labels=run.pool_labels)[name]
+        return top_k(-col if SCORE_ORIENTATIONS[name] == MINIMIZE else col, k)
+    return select
+
+
+# The one list of selectors: select(run, k, seed) -> SelectionResult, with
+# seed the selection stage's stream; top_k_<score> ranks one score column.
+SELECTORS = {
+    **{
+        f"greedy_{obj}_logdet": lambda run, k, seed, obj=obj: greedy_logdet(
+            run.scorer, run.pool, k, objective=obj, eval_xs=run.eval_xs)
+        for obj in ("eig", "epig", "jepig")
+    },
+    "bait": lambda run, k, seed: bait_forward_backward(
+        run.scorer, run.pool, k, run.eval_xs),
+    "badge": lambda run, k, seed: badge_kmeanspp(
+        build_data_matrix(run.scorer.model, Dataset(run.pool), HARD), k, seed=seed),
+    "random": lambda run, k, seed: random_batch(run.pool.shape[0], k, seed),
+    **{f"top_k_{name}": _top_k(name) for name in SCORE_METHODS},
 }
-
-SELECT_METHODS = (
-    tuple(GREEDY_OBJECTIVES)
-    + ("bait", "badge", "random")
-    + tuple(f"top_k_{name}" for name in SCORE_ORIENTATIONS)
-)
+SELECT_METHODS = tuple(SELECTORS)
 
 EVAL_SOURCES = ("disjoint", "pool")
-
-# JSON key -> attribute. Only "lambda" differs (Python keyword).
-_FIELD_KEYS = {
-    "seed": "seed",
-    "head": "head",
-    "classes": "classes",
-    "dim": "dim",
-    "n": "n",
-    "class_sep": "class_sep",
-    "lambda": "lam",
-    "train_size": "train_size",
-    "pool_size": "pool_size",
-    "eval_size": "eval_size",
-    "eval_source": "eval_source",
-    "methods": "methods",
-    "mc_samples": "mc_samples",
-    "method": "method",
-    "batch_size": "batch_size",
-    "rounds": "rounds",
-    "data": "data",
-    "model": "model",
-    "out": "out",
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,23 +226,20 @@ class ExperimentConfig:
             attr = _FIELD_KEYS.get(key)
             if attr is None:
                 raise ConfigError(f"unknown config field {key!r}")
-            if attr == "methods":
-                if isinstance(value, str):
-                    value = [v for v in value.split(",") if v]
+            if attr == "methods" and isinstance(value, str):
+                value = [v for v in value.split(",") if v]
+            if attr == "methods" and isinstance(value, (list, tuple)):
                 value = tuple(str(v) for v in value)
+            else:
+                _check_type(key, value, getattr(cls, attr))
             kwargs[attr] = value
         config = cls(**kwargs)
         config.validate()
         return config
 
     def to_dict(self) -> dict:
-        out = {}
-        for key, attr in _FIELD_KEYS.items():
-            value = getattr(self, attr)
-            if attr == "methods":
-                value = list(value)
-            out[key] = value
-        return out
+        doc = {key: getattr(self, attr) for key, attr in _FIELD_KEYS.items()}
+        return {**doc, "methods": list(self.methods)}
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
@@ -200,6 +249,7 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(message)
 
+        require(0 <= self.seed < 2**32, "seed must be in [0, 2**32)")
         require(self.head in (CATEGORICAL, GAUSSIAN), f"unknown head {self.head!r}")
         require(self.classes >= 2, "classes must be >= 2")
         require(self.dim >= 1, "dim must be >= 1")
@@ -225,29 +275,49 @@ class ExperimentConfig:
             self.method in SELECT_METHODS,
             f"unknown selection method {self.method!r}",
         )
-        if self.head == GAUSSIAN:
-            categorical_only = [
-                name
-                for name in (*self.methods, self.method)
-                if name.removeprefix("top_k_") in CATEGORICAL_ONLY_METHODS
-            ]
-            require(
-                not categorical_only,
-                f"{', '.join(categorical_only)} need a categorical head",
-            )
+        categorical_only = [n for n in (*self.methods, self.method) if _categorical_only(n)]
+        require(
+            self.head != GAUSSIAN or not categorical_only,
+            f"{', '.join(categorical_only)} need a categorical head",
+        )
         require(self.batch_size >= 0, "batch_size must be >= 0")
         require(self.rounds >= 0, "rounds must be >= 0")
+
+
+# JSON key -> attribute. Only "lambda" differs (Python keyword).
+_FIELD_KEYS = {
+    "lambda" if f.name == "lam" else f.name: f.name
+    for f in dataclasses.fields(ExperimentConfig)
+}
+
+
+def _check_type(key: str, value, default):
+    """ConfigError unless value has the JSON type of its field's default.
+
+    A float field takes an integer too; a None default, a string or null.
+    """
+    expected = str if default is None else type(default)
+    fits = isinstance(value, (int, float) if expected is float else expected)
+    if (value is not None or default is not None) and (isinstance(value, bool) or not fits):
+        raise ConfigError(
+            f"config field {key!r} must be {expected.__name__}, got {value!r}"
+        )
+
+
+def _read_json(path, what: str):
+    """Parsed JSON of a config or model file; a parse failure is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} {path}: invalid JSON ({e})") from e
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Config file plus CLI overrides; overrides win field by field."""
     raw: dict = {}
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path}: invalid JSON ({e})") from e
+        raw = _read_json(path, "config")
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path}: expected a flat JSON object")
     if overrides:
@@ -348,16 +418,11 @@ class ScoreTable:
         unknown = [n for n in names if n not in SCORE_ORIENTATIONS]
         if unknown:
             raise ConfigError(f"score table {path}: unknown columns {unknown}")
-        indices = []
-        cols: list[list[float]] = [[] for _ in names]
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            indices.append(int(cells[0]))
-            for j, cell in enumerate(cells[1:]):
-                cols[j].append(float(cell))
+        body = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
+        body = body.reshape(len(lines) - 1, len(header))
         return cls(
-            indices=tuple(indices),
-            columns={n: np.asarray(c, dtype=float) for n, c in zip(names, cols)},
+            indices=tuple(int(i) for i in body[:, 0]),
+            columns={n: body[:, j + 1].copy() for j, n in enumerate(names)},
             orientations={n: SCORE_ORIENTATIONS[n] for n in names},
         )
 
@@ -373,8 +438,7 @@ class ScoreTable:
 
     @classmethod
     def from_json(cls, path) -> "ScoreTable":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path, "score table")
         return cls(
             indices=tuple(int(i) for i in doc["indices"]),
             columns={
@@ -409,86 +473,25 @@ def compute_scores(
 ) -> dict[str, np.ndarray]:
     """One score column per requested method id, in request order.
 
-    Families sharing work are batched: the eval-Fisher term is built once
-    per transductive family, the posterior is sampled once, and one Monte
-    Carlo pass gives both prediction-space columns. `eig_logdet_sim` draws
-    row i's label from seed + LABEL_SEED + i. `grand` needs pool labels.
+    The methods share one _Run, so the posterior is sampled once, one Monte
+    Carlo pass gives both prediction-space columns, and each weight-space
+    family gives its log-det and trace columns together. `eig_logdet_sim`
+    draws row i's label from seed + LABEL_SEED + i. `grand` needs pool labels.
     """
     methods = tuple(methods)
     for name in methods:
-        if name not in SCORE_ORIENTATIONS:
+        if name not in SCORE_METHODS:
             raise ConfigError(f"unknown score method {name!r}")
     pool = np.atleast_2d(np.asarray(pool_xs, dtype=float))
-    n_pool = pool.shape[0] if pool.size else 0
-    if n_pool == 0:
+    if pool.size == 0:
         return {name: np.zeros(0) for name in methods}
-
+    run = _Run(scorer, pool, eval_xs, mc_samples, seed, pool_labels, methods)
     columns: dict[str, np.ndarray] = {}
-    samples = None
-
-    def posterior_samples():
-        nonlocal samples
-        if samples is None:
-            samples = draw_posterior_samples(
-                scorer.posterior, mc_samples, seed + SAMPLE_SEED
-            )
-        return samples
-
-    pairs_cache: dict[str, list] = {}
-
-    def family_pairs(family: str) -> list:
-        if family not in pairs_cache:
-            if family == "eig":
-                pairs_cache[family] = eig_pool_scores(scorer, pool)
-            elif family == "epig":
-                pairs_cache[family] = epig_pool_scores(scorer, pool, eval_xs)
-            else:
-                pairs_cache[family] = jepig_pool_scores(scorer, pool, eval_xs)
-        return pairs_cache[family]
-
-    mc_cache: dict[str, np.ndarray] = {}
-
-    def mc_column(name: str) -> np.ndarray:
-        if name not in mc_cache:
-            # One pass fills both columns; an empty eval set fails under epig_pred.
-            with_epig = name == "epig_pred" or (
-                "epig_pred" in methods and np.size(eval_xs) > 0
-            )
-            ev = eval_xs if with_epig else None
-            bald, epig = mc_pool_scores(posterior_samples(), scorer.model.head, pool, ev)
-            mc_cache["bald_pred"] = bald
-            if epig is not None:
-                mc_cache["epig_pred"] = epig
-        return mc_cache[name]
-
     for name in methods:
         try:
-            if name in ("bald_pred", "epig_pred"):
-                col = mc_column(name)
-            elif name in ("eig_logdet", "eig_trace", "epig_logdet", "epig_trace",
-                          "jepig_logdet", "jepig_trace"):
-                family, kind = name.rsplit("_", 1)
-                pairs = family_pairs(family)
-                col = np.asarray([getattr(p, kind) for p in pairs])
-            elif name == "eig_logdet_sim":
-                col = eig_via_similarity_pool(
-                    scorer.model,
-                    pool,
-                    scorer.posterior.precision,
-                    seed + LABEL_SEED + np.arange(n_pool),
-                )
-            elif name == "egl":
-                col = egl_pool_scores(scorer, pool)
-            elif name == "grand":
-                if pool_labels is None:
-                    raise MissingLabels("grand scores labeled data only")
-                weights = posterior_samples().weights
-                col = grand_pool_scores(scorer, pool, pool_labels, weights)
-            else:  # pragma: no cover - guarded by the loop above
-                raise ConfigError(f"unknown score method {name!r}")
+            columns[name] = np.asarray(SCORE_METHODS[name].compute(run), dtype=float)
         except InfoselectError as e:
             raise _tagged(e, f"method {name}")
-        columns[name] = np.asarray(col, dtype=float)
     return columns
 
 
@@ -533,22 +536,19 @@ def save_model(path, model: GlmModel, lam: float, fit: FitInfo | None = None):
 
 
 def load_model(path) -> tuple[GlmModel, float]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "model")
     try:
         kind = doc["head"]["kind"]
         c = int(doc["head"]["C"])
         dim = int(doc["D"])
         flat = np.asarray(doc["weights"], dtype=float)
         lam = float(doc["lambda"])
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"model {path}: missing field ({e})") from e
-    if kind == CATEGORICAL:
-        head = Head.categorical(c)
-    elif kind == GAUSSIAN:
-        head = Head.gaussian()
-    else:
-        raise ConfigError(f"model {path}: unknown head kind {kind!r}")
+        if kind not in (CATEGORICAL, GAUSSIAN):
+            raise ConfigError(f"model {path}: unknown head kind {kind!r}")
+        head = Head.categorical(c) if kind == CATEGORICAL else Head.gaussian()
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        problem = "missing field" if isinstance(e, (KeyError, TypeError)) else "bad field"
+        raise ConfigError(f"model {path}: {problem} ({e})") from e
     if flat.size != dim * head.num_outputs:
         raise ConfigError(
             f"model {path}: {flat.size} weights for D={dim}, C={head.num_outputs}"
@@ -561,12 +561,6 @@ def load_model(path) -> tuple[GlmModel, float]:
 # shared command plumbing
 
 
-def _head_for(config: ExperimentConfig) -> Head:
-    if config.head == GAUSSIAN:
-        return Head.gaussian()
-    return Head.categorical(config.classes)
-
-
 def load_dataset(config: ExperimentConfig) -> Dataset:
     if config.data is not None:
         return load_csv(config.data)
@@ -576,15 +570,19 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def _fit(config: ExperimentConfig, train: Dataset) -> tuple[GlmModel, FitInfo]:
+    head = Head.gaussian() if config.head == GAUSSIAN else Head.categorical(config.classes)
     try:
-        return map_fit(train, _head_for(config), config.lam, full_output=True)
+        return map_fit(train, head, config.lam, full_output=True)
     except InfoselectError as e:
         raise _tagged(e, "fit")
 
 
-def _resolve_model(config: ExperimentConfig, train: Dataset) -> GlmModel:
-    """Load the model artifact when given, else fit the train split."""
-    if config.model is not None:
+def _scorer_for(config: ExperimentConfig, data: Dataset, splits: Splits) -> Scorer:
+    """Scorer of the model artifact when given, else of a fit of the train split."""
+    train = data.subset(splits.train)
+    if config.model is None:
+        model, _ = _fit(config, train)
+    else:
         model, lam = load_model(config.model)
         if lam != config.lam:
             raise ConfigError(
@@ -595,16 +593,7 @@ def _resolve_model(config: ExperimentConfig, train: Dataset) -> GlmModel:
             raise ConfigError(
                 f"model expects D={model.dim}, data has D={train.dim}"
             )
-        return model
-    model, _ = _fit(config, train)
-    return model
-
-
-def _scorer_for(config: ExperimentConfig, data: Dataset, splits: Splits) -> Scorer:
-    train = data.subset(splits.train)
-    model = _resolve_model(config, train)
-    posterior = build_posterior(model, train, config.lam)
-    return Scorer(model, posterior)
+    return Scorer(model, build_posterior(model, train, config.lam))
 
 
 def _out_dir(config: ExperimentConfig) -> pathlib.Path:
@@ -651,44 +640,15 @@ def select_batch(
     seed: int,
     pool_labels=None,
 ) -> SelectionResult:
-    """Dispatch config.method over the pool; indices are pool positions."""
-    method = config.method
+    """Run config.method's selector over the pool; indices are pool positions."""
+    select = SELECTORS.get(config.method)
+    if select is None:
+        raise ConfigError(f"unknown selection method {config.method!r}")
+    run = _Run(scorer, pool_xs, eval_xs, config.mc_samples, config.seed, pool_labels)
     try:
-        if method in GREEDY_OBJECTIVES:
-            objective = GREEDY_OBJECTIVES[method]
-            ev = eval_xs if objective != "eig" else None
-            return greedy_logdet(scorer, pool_xs, k, objective=objective, eval_xs=ev)
-        if method == "bait":
-            return bait_forward_backward(scorer, pool_xs, k, eval_xs)
-        if method == "badge":
-            g = build_data_matrix(scorer.model, Dataset(pool_xs), HARD)
-            return badge_kmeanspp(g, k, seed=seed)
-        if method == "random":
-            rng = np.random.default_rng(seed)
-            picked = rng.choice(pool_xs.shape[0], size=k, replace=False)
-            return SelectionResult(
-                indices=tuple(int(i) for i in picked),
-                objective_value=0.0,
-                method="random",
-                gains=tuple(0.0 for _ in range(k)),
-            )
-        if method.startswith("top_k_"):
-            score_name = method[len("top_k_") :]
-            col = compute_scores(
-                (score_name,),
-                scorer,
-                pool_xs,
-                eval_xs,
-                mc_samples=config.mc_samples,
-                seed=config.seed,
-                pool_labels=pool_labels,
-            )[score_name]
-            if SCORE_ORIENTATIONS[score_name] == MINIMIZE:
-                col = -col
-            return top_k(col, k)
+        return select(run, k, seed)
     except InfoselectError as e:
-        raise _tagged(e, f"select {method}")
-    raise ConfigError(f"unknown selection method {method!r}")
+        raise _tagged(e, f"select {config.method}")
 
 
 def cmd_select(config: ExperimentConfig) -> pathlib.Path:
@@ -742,16 +702,9 @@ def correlation_matrix(table: ScoreTable) -> tuple[tuple[str, ...], np.ndarray]:
 
 def cmd_correlate(config: ExperimentConfig) -> tuple[pathlib.Path, pathlib.Path]:
     """Score the pool, then write the method-by-method Spearman matrix."""
-    config.validate()
-    data = load_dataset(config)
-    splits = make_splits(config, data.n)
-    scorer = _scorer_for(config, data, splits)
-    table = build_score_table(config, data, splits, scorer)
-    out = _out_dir(config)
-    table.to_csv(out / "scores.csv")
-    table.to_json(out / "scores.json")
-
-    names, mat = correlation_matrix(table)
+    _, scores_json = cmd_score(config)
+    out = scores_json.parent
+    names, mat = correlation_matrix(ScoreTable.from_json(scores_json))
     lines = ["method," + ",".join(names)]
     for i, name in enumerate(names):
         lines.append(name + "," + ",".join(format_float(v) for v in mat[i]))
@@ -782,6 +735,8 @@ def cmd_simulate(config: ExperimentConfig) -> pathlib.Path:
     config.validate()
     if config.head != CATEGORICAL:
         raise ConfigError("simulate reports accuracy; use the categorical head")
+    if config.method == "top_k_grand":
+        raise ConfigError("simulate cannot use top_k_grand: it ranks on unrevealed labels")
     data = load_dataset(config)
     if not data.is_labeled:
         raise MissingLabels("simulate needs labels to reveal")
@@ -789,11 +744,8 @@ def cmd_simulate(config: ExperimentConfig) -> pathlib.Path:
     if splits.test.size == 0:
         raise ConfigError("no held-out rows left for accuracy; shrink the splits")
 
-    methods = [config.method]
-    if "random" not in methods:
-        methods.append("random")
-
     rows = []
+    methods = dict.fromkeys((config.method, "random"))  # ordered, without repeats
     for method in methods:
         run_config = config.replace(method=method)
         train_ids = [int(i) for i in splits.train]
@@ -806,8 +758,7 @@ def cmd_simulate(config: ExperimentConfig) -> pathlib.Path:
                     f"round {rnd} needs {config.batch_size} rows, "
                     f"pool has {len(pool_ids)}"
                 )
-            train_data = data.subset(train_ids)
-            posterior = build_posterior(model, train_data, config.lam)
+            posterior = build_posterior(model, data.subset(train_ids), config.lam)
             scorer = Scorer(model, posterior)
             result = select_batch(
                 run_config,
@@ -816,7 +767,6 @@ def cmd_simulate(config: ExperimentConfig) -> pathlib.Path:
                 data.features[splits.eval],
                 config.batch_size,
                 seed=config.seed + SELECT_SEED + rnd,
-                pool_labels=data.require_labels()[np.asarray(pool_ids, dtype=int)],
             )
             picked = [pool_ids[i] for i in result.indices]
             train_ids.extend(picked)

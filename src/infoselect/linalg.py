@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NonFiniteMatrix, NotPositiveDefinite
 
 # Multipliers applied to the base jitter, tried in order. The leading zero
 # means well-conditioned matrices are factorized untouched.
@@ -38,7 +38,7 @@ class PsdMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
+            raise NonFiniteMatrix("matrix entries must be finite")
         a = (a + a.T) / 2.0
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
@@ -115,7 +115,7 @@ def _cholesky_jittered(a: np.ndarray, base: float | None = None):
     """Lower Cholesky factor of `a`, escalating jitter until it succeeds.
 
     Returns (L, eps) where eps is the diagonal shift that was needed.
-    Raises NotPositiveDefinite when the schedule is exhausted.
+    Raises NotPositiveDefinite past the schedule, NonFiniteMatrix on overflow.
     """
     eps = 0.0
     for eps in jitter_schedule(a, base):
@@ -124,6 +124,8 @@ def _cholesky_jittered(a: np.ndarray, base: float | None = None):
             return scipy.linalg.cholesky(shifted, lower=True), eps
         except scipy.linalg.LinAlgError:
             continue
+        except ValueError as e:  # scipy's finiteness check
+            raise NonFiniteMatrix(f"{a.shape[0]}x{a.shape[0]} matrix: {e}") from e
     raise NotPositiveDefinite(
         f"Cholesky failed for {a.shape[0]}x{a.shape[0]} matrix "
         f"even with jitter {eps:.3e}"

@@ -24,6 +24,7 @@ from .errors import (
     LengthMismatch,
     TooFewSamples,
     TooManyConfigurations,
+    UnsupportedHead,
 )
 from .glm import CATEGORICAL, Head
 from .posterior import GaussianPosterior, sample_weights
@@ -64,7 +65,7 @@ def draw_posterior_samples(
 
 def _require_categorical(head: Head):
     if head.kind != CATEGORICAL:
-        raise ValueError("prediction-space entropies need a categorical head")
+        raise UnsupportedHead("prediction-space entropies need a categorical head")
 
 
 def predictive_probs(samples: PosteriorSamples, head: Head, xs) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Every score reduces to log determinants or traces of curvature matrices
 against the posterior precision P. Log-det and trace variants are returned
-together as a ScorePair; the log-det never exceeds the trace for the
+together: as a ScorePair for one batch, as a (logdet, trace) pair of arrays
+by the *_pool_scores functions. The log-det never exceeds the trace for the
 expected-information scores.
 
 A single candidate's Fisher F_n = U_n L_n U_n^T (U_n = I_C (x) x_n, L_n the
@@ -255,12 +256,8 @@ def jpig_score(s: Scorer, cands, eval_pairs) -> ScorePair:
     return jepig_score(s, _labeled_features(s.model, cands), eval_xs)
 
 
-def _pairs(logdets, traces) -> list[ScorePair]:
-    return [ScorePair(float(a), float(b)) for a, b in zip(logdets, traces)]
-
-
-def eig_pool_scores(s: Scorer, pool_xs) -> list[ScorePair]:
-    """eig_score of each pool candidate alone, all candidates at once.
+def eig_pool_scores(s: Scorer, pool_xs) -> tuple[np.ndarray, np.ndarray]:
+    """eig_score of each pool candidate alone, as (logdet, trace) arrays.
 
     logdet = 1/2 logdet(I + L_n S_n(P^-1)), trace = 1/2 tr(L_n S_n(P^-1)).
     """
@@ -268,11 +265,11 @@ def eig_pool_scores(s: Scorer, pool_xs) -> list[ScorePair]:
     curv = s.curvatures(xs)
     proj = candidate_projection(s.model, xs, factor_inverse(s._prec_factor))
     traces = 0.5 * np.trace(curv @ proj, axis1=-2, axis2=-1)
-    return _pairs(candidate_logdet_ratios(curv, proj), traces)
+    return candidate_logdet_ratios(curv, proj), traces
 
 
-def _transductive_pool(s: Scorer, pool_xs, eval_term) -> list[ScorePair]:
-    """_transductive_pair of each pool candidate alone, all at once.
+def _transductive_pool(s: Scorer, pool_xs, eval_term) -> tuple[np.ndarray, np.ndarray]:
+    """_transductive_pair of each pool candidate alone, as (logdet, trace) arrays.
 
     The empty batch's pair plus each candidate's change: logdet_changes
     for the log-det, the Woodbury trace identity for the trace.
@@ -289,15 +286,15 @@ def _transductive_pool(s: Scorer, pool_xs, eval_term) -> list[ScorePair]:
         candidate_projection(s.model, xs, p_inv),
         candidate_projection(s.model, xs, p_inv @ eval_term @ p_inv),
     )
-    return _pairs(logdets, traces)
+    return logdets, traces
 
 
-def epig_pool_scores(s: Scorer, pool_xs, eval_xs) -> list[ScorePair]:
+def epig_pool_scores(s: Scorer, pool_xs, eval_xs) -> tuple[np.ndarray, np.ndarray]:
     """epig_score of each pool candidate; the eval Fisher is built once."""
     return _transductive_pool(s, pool_xs, eval_fisher(s, eval_xs, "mean"))
 
 
-def jepig_pool_scores(s: Scorer, pool_xs, eval_xs) -> list[ScorePair]:
+def jepig_pool_scores(s: Scorer, pool_xs, eval_xs) -> tuple[np.ndarray, np.ndarray]:
     """jepig_score of each pool candidate; the eval Fisher is built once."""
     return _transductive_pool(s, pool_xs, eval_fisher(s, eval_xs, "sum"))
 

@@ -221,6 +221,14 @@ def badge_kmeanspp(g: JacobianDataMatrix, k: int, seed: int) -> SelectionResult:
     )
 
 
+def random_batch(n: int, k: int, seed: int) -> SelectionResult:
+    """k distinct positions drawn uniformly from [0, n), the baseline."""
+    if k > n:
+        raise BatchTooLarge(f"k={k} from a pool of {n}")
+    picked = np.random.default_rng(seed).choice(n, size=k, replace=False)
+    return SelectionResult(tuple(picked), 0.0, "random", (0.0,) * k)
+
+
 def exhaustive_best(
     s: Scorer, pool_xs, k: int, objective: str = "eig", eval_xs=None
 ) -> SelectionResult:

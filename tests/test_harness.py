@@ -468,6 +468,11 @@ def test_simulate_guards(tmp_path):
     save_csv(unlabeled, Dataset(np.random.default_rng(0).standard_normal((150, 4))))
     with pytest.raises(MissingLabels):
         cmd_simulate(small_config(tmp_path, data=str(unlabeled)))
+    # grand reads the pool's labels, which simulate has not revealed yet
+    with pytest.raises(ConfigError, match="top_k_grand"):
+        cmd_simulate(small_config(tmp_path, method="top_k_grand"))
+    # select may rank labeled data on them
+    cmd_select(small_config(tmp_path, method="top_k_grand"))
 
 
 def test_commands_are_deterministic(tmp_path):
@@ -575,10 +580,29 @@ def test_cli_config_and_io_errors_exit_one(tmp_path, capsys):
 
     non_finite = tmp_path / "non_finite.csv"
     non_finite.write_text("f0,f1,y\n1.0,2.0,0\n1.0,nan,1\n")
+    bad_files = {
+        "classes.json": '{"classes": "x"}',
+        "methods.json": '{"methods": 5}',
+        "seed.json": '{"seed": 1.5}',
+        "truncated_model.json": '{"head": {"kind": "categorical"',
+        "model_c.json": '{"head": {"kind": "categorical", "C": "x"}, "D": 16, '
+        '"weights": [], "lambda": 1.0}',
+    }
+    for name, text in bad_files.items():
+        (tmp_path / name).write_text(text)
+    small = ["--n", "120", "--dim", "3", "--pool-size", "20", "--eval-size", "10"]
     for argv in (
         ["train", "--lambda", "0"],
         ["score", "--head", "gaussian", "--methods", "eig_logdet,bald_pred"],
         ["train", "--data", str(non_finite)],
+        ["train", "--config", str(tmp_path / "classes.json")],
+        ["train", "--config", str(tmp_path / "methods.json")],
+        ["train", "--config", str(tmp_path / "seed.json")],
+        ["score", "--model", str(tmp_path / "truncated_model.json")],
+        ["score", "--model", str(tmp_path / "model_c.json")],
+        ["score", "--classes", "2", "--class-sep", "1e308", *small],
+        ["select", "--seed", "-1", *small],
+        ["select", "--method", "random", "--batch-size", "30", *small],
     ):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -599,7 +623,14 @@ def test_cli_gaussian_head_runs_with_default_methods(tmp_path, capsys):
     assert default_methods("categorical") == DEFAULT_METHODS
 
 
-def test_cli_numerical_failures_exit_two(monkeypatch, capsys):
+def test_cli_numerical_failures_exit_two(monkeypatch, capsys, tmp_path):
+    # the features are finite, but the fit's curvature overflows
+    argv = ["train", "--classes", "2", "--class-sep", "1e200", "--n", "120", "--dim", "3",
+            "--pool-size", "20", "--eval-size", "10", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "numerical failure" in err
+
     def boom(config):
         raise NotPositiveDefinite("synthetic failure")
 

@@ -235,15 +235,15 @@ def test_pool_helpers_match_singletons():
     data, _, _, s = fitted_setup(seed=17, n=50)
     pool = data.features[:8]
     ev = data.features[10:20]
-    for got, x in zip(eig_pool_scores(s, pool), pool):
+    for got, x in zip(map(ScorePair, *eig_pool_scores(s, pool)), pool):
         want = eig_score(s, x[None, :])
         assert got.logdet == pytest.approx(want.logdet, abs=1e-12)
         assert got.trace == pytest.approx(want.trace, abs=1e-12)
-    for got, x in zip(epig_pool_scores(s, pool, ev), pool):
+    for got, x in zip(map(ScorePair, *epig_pool_scores(s, pool, ev)), pool):
         want = epig_score(s, x[None, :], ev)
         assert got.logdet == pytest.approx(want.logdet, abs=1e-12)
         assert got.trace == pytest.approx(want.trace, abs=1e-12)
-    for got, x in zip(jepig_pool_scores(s, pool, ev), pool):
+    for got, x in zip(map(ScorePair, *jepig_pool_scores(s, pool, ev)), pool):
         want = jepig_score(s, x[None, :], ev)
         assert got.logdet == pytest.approx(want.logdet, abs=1e-12)
 
