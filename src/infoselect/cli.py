@@ -1,12 +1,14 @@
 """Command-line entry point: train, score, select, correlate, simulate.
 
-Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or input error, 2 numerical failure. A
+failure writes exactly one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .errors import InfoselectError, NumericalError
 from .harness import (
@@ -88,15 +90,20 @@ def main(argv=None) -> int:
         for key, attr in _FIELD_KEYS.items()
         if getattr(args, attr) is not None
     }
-    try:
-        config = load_config(args.config, overrides)
-        result = _COMMANDS[args.command](config)
-    except NumericalError as e:
-        print(f"infoselect {args.command}: numerical failure: {e}", file=sys.stderr)
-        return 2
-    except (InfoselectError, OSError) as e:
-        print(f"infoselect {args.command}: error: {e}", file=sys.stderr)
-        return 1
+    # Warnings raised on the way (numpy overflow, an off-mode posterior) are
+    # held back: a failure's error line stands for them, a success replays them.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            config = load_config(args.config, overrides)
+            result = _COMMANDS[args.command](config)
+        except NumericalError as e:
+            print(f"infoselect {args.command}: numerical failure: {e}", file=sys.stderr)
+            return 2
+        except (InfoselectError, OSError) as e:
+            print(f"infoselect {args.command}: error: {e}", file=sys.stderr)
+            return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     paths = result if isinstance(result, tuple) else (result,)
     for path in paths:
         print(path)

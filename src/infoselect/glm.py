@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import (
     DidNotConverge,
@@ -36,6 +35,22 @@ CATEGORICAL = "categorical"
 
 # 0.5 * log(2 pi), the constant part of the Gaussian nll.
 HALF_LOG_TWO_PI = 0.5 * float(np.log(2.0 * np.pi))
+
+
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    """log(sum(exp(z))) over the last axis, kept as a length-1 axis.
+
+    Shifted by the max m so no term overflows: m + log1p(r + t - 1), with t
+    the count of terms equal to m and r the sum of exp(z - m) over the rest,
+    so a sum dominated by one term keeps its small remainder. A non-finite
+    max is shifted by 0 instead, which yields the inf or NaN of the plain
+    formula.
+    """
+    top = np.max(z, axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    at_top = z == top
+    rest = np.sum(np.exp(z - top), axis=-1, keepdims=True, where=~at_top)
+    return top + np.log1p(rest + (np.sum(at_top, axis=-1, keepdims=True) - 1))
 
 
 @dataclass(frozen=True)
@@ -123,7 +138,7 @@ class Head:
         z = np.asarray(logits, dtype=float)
         if self.kind == GAUSSIAN:
             return z
-        probs = np.exp(z - scipy.special.logsumexp(z, axis=-1, keepdims=True))
+        probs = np.exp(z - _logsumexp(z))
         return np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
     def curvature(self, logits: np.ndarray) -> np.ndarray:
@@ -278,7 +293,7 @@ def nll(model: GlmModel, x, y) -> float:
     y = model.head.validate_label(y)
     if model.head.kind == GAUSSIAN:
         return float(0.5 * (y - z[0]) ** 2 + HALF_LOG_TWO_PI)
-    return float(scipy.special.logsumexp(z) - z[y])
+    return float(_logsumexp(z)[0] - z[y])
 
 
 def score_jacobian(model: GlmModel, x, y) -> np.ndarray:
@@ -377,7 +392,7 @@ def _map_objective(model, data, lam):
         nlls = 0.5 * (y - z[:, 0]) ** 2 + HALF_LOG_TWO_PI
     else:
         picked = z[np.arange(data.n), y.astype(np.int64)]
-        nlls = scipy.special.logsumexp(z, axis=1) - picked
+        nlls = _logsumexp(z)[:, 0] - picked
     w = model.flat_weights()
     return float(np.sum(nlls)) + 0.5 * lam * float(w @ w)
 

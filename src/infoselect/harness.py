@@ -255,7 +255,9 @@ class ExperimentConfig:
         require(self.dim >= 1, "dim must be >= 1")
         require(self.n >= 1, "n must be >= 1")
         require(self.class_sep >= 0.0, "class_sep must be >= 0")
+        require(self.class_sep < np.inf, "class_sep must be finite")
         require(self.lam > 0.0, "lambda must be > 0")
+        require(self.lam < np.inf, "lambda must be finite")
         require(self.train_size >= 1, "train_size must be >= 1")
         require(self.pool_size >= 0, "pool_size must be >= 0")
         require(self.eval_size >= 0, "eval_size must be >= 0")

@@ -3,6 +3,8 @@
 All k x k log determinants go through Cholesky factorizations: for a factor L with
 A = L L^T, logdet(A) = 2 * sum(log(diag(L))). Factorizations that fail get a
 second chance through an escalating diagonal jitter; see `jitter_schedule`.
+Solves go through the inverse factor L^-1, formed once per matrix and cached
+on `PsdMatrix`: A^-1 B = L^-T (L^-1 B) is then two matrix products.
 Ratios of determinants such as logdet(F P^-1 + I) are evaluated as
 logdet(F + P) - logdet(P) so that both terms stay symmetric and factorizable;
 the rank-C term of a single candidate instead goes through the C x C
@@ -12,13 +14,16 @@ identities in `scores`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NonFiniteMatrix, NotPositiveDefinite
 
 # Multipliers applied to the base jitter, tried in order. The leading zero
 # means well-conditioned matrices are factorized untouched.
 JITTER_MULTIPLIERS = (0.0, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+
+# Triangular blocks up to this size are inverted by LAPACK directly; larger
+# ones are split in two (see `lower_inverse`).
+INVERSE_BLOCK = 32
 
 
 class PsdMatrix:
@@ -28,10 +33,11 @@ class PsdMatrix:
     entries satisfy M[i, j] == M[j, i] exactly. Positive semidefiniteness is
     a caller obligation; it is enforced lazily by the factorizing routines.
     The wrapped array is frozen to keep instances safely shareable, which
-    also lets the Cholesky factor be computed once and reused.
+    also lets the Cholesky factor, its inverse and the matrix inverse be
+    computed once and reused.
     """
 
-    __slots__ = ("values", "_factor")
+    __slots__ = ("values", "_factor", "_factor_inv", "_inverse")
 
     def __init__(self, values):
         a = np.array(values, dtype=float)
@@ -58,15 +64,31 @@ class PsdMatrix:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def factor(self) -> np.ndarray:
-        """Lower Cholesky factor (jittered if needed), computed on first use."""
+    def _cached(self, name: str, compute) -> np.ndarray:
         try:
-            return self._factor
+            return getattr(self, name)
         except AttributeError:
-            factor, _ = _cholesky_jittered(self.values)
-            factor.setflags(write=False)
-            object.__setattr__(self, "_factor", factor)
-            return factor
+            value = compute()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+            return value
+
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor L (jittered if needed), computed on first use."""
+        return self._cached("_factor", lambda: _cholesky_jittered(self.values)[0])
+
+    def factor_inv(self) -> np.ndarray:
+        """L^-1, the inverse of `factor`, computed on first use."""
+        return self._cached("_factor_inv", lambda: lower_inverse(self.factor()))
+
+    def inverse(self) -> np.ndarray:
+        """(L L^T)^-1 = L^-T L^-1, computed on first use."""
+
+        def compute():
+            factor_inv = self.factor_inv()
+            return factor_inv.T @ factor_inv
+
+        return self._cached("_inverse", compute)
 
     @property
     def trace(self) -> float:
@@ -115,17 +137,20 @@ def _cholesky_jittered(a: np.ndarray, base: float | None = None):
     """Lower Cholesky factor of `a`, escalating jitter until it succeeds.
 
     Returns (L, eps) where eps is the diagonal shift that was needed.
-    Raises NotPositiveDefinite past the schedule, NonFiniteMatrix on overflow.
+    Raises NotPositiveDefinite past the schedule, NonFiniteMatrix when `a`
+    holds an inf or NaN.
     """
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteMatrix(
+            f"{a.shape[0]}x{a.shape[0]} matrix: array must not contain infs or NaNs"
+        )
     eps = 0.0
     for eps in jitter_schedule(a, base):
         try:
             shifted = a if eps == 0.0 else a + eps * np.eye(a.shape[0])
-            return scipy.linalg.cholesky(shifted, lower=True), eps
-        except scipy.linalg.LinAlgError:
+            return np.linalg.cholesky(shifted), eps
+        except np.linalg.LinAlgError:
             continue
-        except ValueError as e:  # scipy's finiteness check
-            raise NonFiniteMatrix(f"{a.shape[0]}x{a.shape[0]} matrix: {e}") from e
     raise NotPositiveDefinite(
         f"Cholesky failed for {a.shape[0]}x{a.shape[0]} matrix "
         f"even with jitter {eps:.3e}"
@@ -149,9 +174,24 @@ def factor_logdet(factor: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diagonal(factor))))
 
 
-def factor_inverse(factor: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 from the lower Cholesky factor L."""
-    return scipy.linalg.cho_solve((factor, True), np.eye(factor.shape[0]))
+def lower_inverse(factor: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower triangular L, itself lower triangular.
+
+    numpy has no triangular solve, so L is split into blocks
+    [[A, 0], [B, C]] with inverse [[A^-1, 0], [-C^-1 B A^-1, C^-1]]; the
+    diagonal blocks recurse down to INVERSE_BLOCK. This costs ~k^3/3 flops
+    in matrix products, a third of a general inverse.
+    """
+    n = factor.shape[0]
+    if n <= INVERSE_BLOCK:
+        return np.tril(np.linalg.inv(factor))
+    h = n // 2
+    head, tail = lower_inverse(factor[:h, :h]), lower_inverse(factor[h:, h:])
+    out = np.zeros_like(factor)
+    out[:h, :h] = head
+    out[h:, h:] = tail
+    out[h:, :h] = -tail @ (factor[h:, :h] @ head)
+    return out
 
 
 def solve_psd(a, b) -> np.ndarray:
@@ -166,7 +206,8 @@ def solve_psd(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix of dim {m.dim} against right hand side {rhs.shape}"
         )
-    return scipy.linalg.cho_solve((m.factor(), True), rhs)
+    factor_inv = m.factor_inv()
+    return factor_inv.T @ (factor_inv @ rhs)
 
 
 def solve_lower(a, b) -> np.ndarray:
@@ -181,7 +222,7 @@ def solve_lower(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix of dim {m.dim} against right hand side {rhs.shape}"
         )
-    return scipy.linalg.solve_triangular(m.factor(), rhs, lower=True)
+    return m.factor_inv() @ rhs
 
 
 def kron(a, b) -> np.ndarray:

@@ -3,7 +3,7 @@
 The posterior over flattened weights is N(w*, H^-1) where w* is the fitted
 mode and H is the accumulated observed information of the training data plus
 the prior precision lam * I. Only the precision is ever stored; covariances
-appear through solves against its Cholesky factor.
+appear through products with its cached inverse Cholesky factor.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch
 from .glm import Dataset, GlmModel, _map_curvature, _map_gradient
@@ -105,8 +104,7 @@ def sample_weights(post: GaussianPosterior, n_samples: int, seed: int) -> np.nda
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    factor = post.precision.factor()
+    factor_inv = post.precision.factor_inv()
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((post.num_weights, n_samples))
-    draws = scipy.linalg.solve_triangular(factor.T, z, lower=False)
-    return post.mode[None, :] + draws.T
+    return post.mode[None, :] + z.T @ factor_inv

@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, EmptyEvalSet, EmptySampleSet, NotPositiveDefinite
 from .glm import Dataset, GlmModel, candidate_projection, fisher_batch
-from .linalg import _cholesky_jittered, chol_logdet, factor_inverse, factor_logdet
+from .linalg import PsdMatrix, chol_logdet, factor_logdet
 from .posterior import GaussianPosterior, entropy_approx
 from .prediction import MC_CHUNK
 
@@ -47,8 +46,9 @@ class Scorer:
     """Binds a fitted model to its posterior and caches the factorization.
 
     The precision Cholesky factor is computed once at construction; scoring
-    calls reuse it. Instances are immutable, so concurrent scoring of
-    disjoint candidate sets needs no coordination.
+    calls reuse it, and the precision's inverse, once formed, stays cached
+    on the posterior's PsdMatrix. Instances are immutable, so concurrent
+    scoring of disjoint candidate sets needs no coordination.
     """
 
     def __init__(self, model: GlmModel, posterior: GaussianPosterior):
@@ -66,16 +66,15 @@ class Scorer:
     def num_weights(self) -> int:
         return self.model.num_weights
 
-    def precision_with(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """P + F(xs), the precision once the rows xs are labeled, and its factor.
+    def precision_with(self, xs) -> PsdMatrix:
+        """P + F(xs), the precision once the rows xs are labeled.
 
-        The factor is lower Cholesky; with no rows it is the cached one of P.
+        With no rows it is the posterior's own P, factor and inverse cached.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
-            return self._prec, self._prec_factor
-        q = self._prec + fisher_batch(self.model, xs).values
-        return q, _cholesky_jittered(q)[0]
+            return self.posterior.precision
+        return self.posterior.precision + fisher_batch(self.model, xs)
 
     def curvatures(self, xs) -> np.ndarray:
         """Head curvature L_n at each row of xs, an (n, C, C) stack."""
@@ -91,9 +90,13 @@ def logdet_ratio(term: np.ndarray, base: np.ndarray, base_factor: np.ndarray) ->
     return 0.5 * (chol_logdet(term + base) - factor_logdet(base_factor))
 
 
-def trace_ratio(term: np.ndarray, base_factor: np.ndarray) -> float:
-    """1/2 tr(base^-1 term), the trace form of every score."""
-    return 0.5 * float(np.trace(scipy.linalg.cho_solve((base_factor, True), term)))
+def trace_ratio(term: np.ndarray, base_inv: np.ndarray) -> float:
+    """1/2 tr(base^-1 term), the trace form of every score.
+
+    base_inv is base^-1, which callers already hold; the trace of the
+    product is a sum over k^2 entries, so nothing is solved here.
+    """
+    return 0.5 * float(np.einsum("ij,ji->", base_inv, term))
 
 
 def _rank_c_update(curv: np.ndarray, proj: np.ndarray, sign: float):
@@ -135,22 +138,19 @@ def candidate_trace_ratios(curv, proj, sandwich, sign: float = 1.0) -> np.ndarra
     return -0.5 * sign * np.trace(solved, axis1=-2, axis2=-1)
 
 
-def logdet_changes(s: Scorer, xs, q_factor, r_factor=None) -> np.ndarray:
+def logdet_changes(s: Scorer, xs, q: PsdMatrix, r: PsdMatrix | None = None) -> np.ndarray:
     """Change of a log-det objective when each row of xs alone joins q.
 
-    q_factor is the lower Cholesky factor of a precision q (P plus the
-    batch so far). eig (r_factor None): logdet_ratio(F_n, q) =
-    1/2 logdet(I + L_n S_n(q^-1)). epig/jepig, with r_factor the factor of
-    E + q: logdet_ratio(E, q + F_n) - logdet_ratio(E, q)
-    = 1/2 [logdet(I + L_n S_n((E + q)^-1)) - logdet(I + L_n S_n(q^-1))].
+    q is a precision (P plus the batch so far). eig (r None):
+    logdet_ratio(F_n, q) = 1/2 logdet(I + L_n S_n(q^-1)). epig/jepig, with
+    r = E + q: logdet_ratio(E, q + F_n) - logdet_ratio(E, q)
+    = 1/2 [logdet(I + L_n S_n(r^-1)) - logdet(I + L_n S_n(q^-1))].
     """
     curv = s.curvatures(xs)
-    change = candidate_logdet_ratios(
-        curv, candidate_projection(s.model, xs, factor_inverse(q_factor))
-    )
-    if r_factor is None:
+    change = candidate_logdet_ratios(curv, candidate_projection(s.model, xs, q.inverse()))
+    if r is None:
         return change
-    r_proj = candidate_projection(s.model, xs, factor_inverse(r_factor))
+    r_proj = candidate_projection(s.model, xs, r.inverse())
     return candidate_logdet_ratios(curv, r_proj) - change
 
 
@@ -177,7 +177,8 @@ def eig_score(s: Scorer, cand_xs) -> ScorePair:
         return ScorePair(0.0, 0.0)
     f = fisher_batch(s.model, xs).values
     return ScorePair(
-        logdet_ratio(f, s._prec, s._prec_factor), trace_ratio(f, s._prec_factor)
+        logdet_ratio(f, s._prec, s._prec_factor),
+        trace_ratio(f, s.posterior.precision.inverse()),
     )
 
 
@@ -220,9 +221,9 @@ def _transductive_pair(s: Scorer, cand_xs, eval_term: np.ndarray) -> ScorePair:
     trace  = 1/2 tr(q^-1 eval_term). Both shrink as the batch explains the
     evaluation directions, hence minimization.
     """
-    q, q_factor = s.precision_with(cand_xs)
+    q = s.precision_with(cand_xs)
     return ScorePair(
-        logdet_ratio(eval_term, q, q_factor), trace_ratio(eval_term, q_factor)
+        logdet_ratio(eval_term, q.values, q.factor()), trace_ratio(eval_term, q.inverse())
     )
 
 
@@ -263,7 +264,7 @@ def eig_pool_scores(s: Scorer, pool_xs) -> tuple[np.ndarray, np.ndarray]:
     """
     xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
     curv = s.curvatures(xs)
-    proj = candidate_projection(s.model, xs, factor_inverse(s._prec_factor))
+    proj = candidate_projection(s.model, xs, s.posterior.precision.inverse())
     traces = 0.5 * np.trace(curv @ proj, axis1=-2, axis2=-1)
     return candidate_logdet_ratios(curv, proj), traces
 
@@ -275,13 +276,13 @@ def _transductive_pool(s: Scorer, pool_xs, eval_term) -> tuple[np.ndarray, np.nd
     for the log-det, the Woodbury trace identity for the trace.
     """
     xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
-    p_factor = s._prec_factor
-    p_inv = factor_inverse(p_factor)
-    r_factor, _ = _cholesky_jittered(eval_term + s._prec)
+    p = s.posterior.precision
+    r = p + eval_term
     logdets = 0.5 * (
-        factor_logdet(r_factor) - factor_logdet(p_factor)
-    ) + logdet_changes(s, xs, p_factor, r_factor)
-    traces = trace_ratio(eval_term, p_factor) + candidate_trace_ratios(
+        factor_logdet(r.factor()) - factor_logdet(p.factor())
+    ) + logdet_changes(s, xs, p, r)
+    p_inv = p.inverse()
+    traces = trace_ratio(eval_term, p_inv) + candidate_trace_ratios(
         s.curvatures(xs),
         candidate_projection(s.model, xs, p_inv),
         candidate_projection(s.model, xs, p_inv @ eval_term @ p_inv),

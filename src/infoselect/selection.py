@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import BatchTooLarge, TooManySubsets
 from .glm import candidate_projection, fisher_batch
-from .linalg import _cholesky_jittered, factor_inverse
 from .scores import (
     Scorer,
     candidate_trace_ratios,
@@ -84,8 +83,8 @@ def _set_value(s: Scorer, xs, eval_term) -> float:
     if eval_term is None:
         f = fisher_batch(s.model, xs).values
         return logdet_ratio(f, s._prec, s._prec_factor)
-    q, q_factor = s.precision_with(xs)
-    return logdet_ratio(eval_term, q, q_factor)
+    q = s.precision_with(xs)
+    return logdet_ratio(eval_term, q.values, q.factor())
 
 
 def greedy_logdet(
@@ -111,9 +110,9 @@ def greedy_logdet(
     gains: list[float] = []
     remaining = list(range(n))
     for _ in range(k):
-        q, q_factor = s.precision_with(pool[chosen])
-        r_factor = None if eval_term is None else _cholesky_jittered(eval_term + q)[0]
-        change = logdet_changes(s, pool[remaining], q_factor, r_factor)
+        q = s.precision_with(pool[chosen])
+        r = None if eval_term is None else q + eval_term
+        change = logdet_changes(s, pool[remaining], q, r)
         best = int(np.argmax(change) if eval_term is None else np.argmin(change))
         gains.append(float(change[best]))
         chosen.append(remaining.pop(best))
@@ -154,10 +153,9 @@ def bait_forward_backward(
     for step in range(2 * width - k):
         adding = step < width
         cands = remaining if adding else chosen
-        _, q_factor = s.precision_with(pool[chosen])
-        q_inv = factor_inverse(q_factor)
+        q_inv = s.precision_with(pool[chosen]).inverse()
         # BAIT ranks on tr(q^-1 F_eval) itself, twice the score's half.
-        value = 2.0 * trace_ratio(eval_term, q_factor)
+        value = 2.0 * trace_ratio(eval_term, q_inv)
         rows = pool[cands]
         values = value + 2.0 * candidate_trace_ratios(
             curv[cands],
@@ -170,10 +168,10 @@ def bait_forward_backward(
         picked = cands.pop(best)
         if adding:
             chosen.append(picked)
-    _, q_factor = s.precision_with(pool[chosen])
+    q_inv = s.precision_with(pool[chosen]).inverse()
     return SelectionResult(
         indices=tuple(chosen),
-        objective_value=2.0 * trace_ratio(eval_term, q_factor),
+        objective_value=2.0 * trace_ratio(eval_term, q_inv),
         method="bait",
         gains=tuple(gains),
     )

@@ -18,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from infoselect.glm import (
     fisher_batch,
     fisher_information,
 )
-from infoselect.linalg import PsdMatrix, _cholesky_jittered, factor_inverse, factor_logdet
+from infoselect.linalg import PsdMatrix, _cholesky_jittered, factor_logdet
 from infoselect.posterior import GaussianPosterior
 from infoselect.prediction import (
     PosteriorSamples,
@@ -51,7 +52,6 @@ from infoselect.scores import (
     grand_pool_scores,
     jepig_pool_scores,
     logdet_ratio,
-    trace_ratio,
 )
 from infoselect.selection import bait_forward_backward, greedy_logdet
 from infoselect.similarity import (
@@ -109,17 +109,22 @@ def assert_close(got, want, scale):
 # oracles: the per-candidate k x k loops the core replaced
 
 
+def _trace_by_factor(term, base_factor):
+    """1/2 tr(base^-1 term) by two triangular solves against base's factor."""
+    return 0.5 * float(np.trace(scipy.linalg.cho_solve((base_factor, True), term)))
+
+
 def oracle_pool_scores(s, pool, eval_term=None):
     """(logdet, trace) per candidate, factorizing F_n + P for each one."""
     out = []
     for x in pool:
         f = fisher_information(s.model, x).values
         if eval_term is None:
-            out.append((logdet_ratio(f, s._prec, s._prec_factor), trace_ratio(f, s._prec_factor)))
+            out.append((logdet_ratio(f, s._prec, s._prec_factor), _trace_by_factor(f, s._prec_factor)))
         else:
             q = f + s._prec
             q_factor, _ = _cholesky_jittered(q)
-            out.append((logdet_ratio(eval_term, q, q_factor), trace_ratio(eval_term, q_factor)))
+            out.append((logdet_ratio(eval_term, q, q_factor), _trace_by_factor(eval_term, q_factor)))
     return np.array(out).reshape(-1, 2)
 
 
@@ -161,7 +166,7 @@ def oracle_bait(s, pool, k, eval_xs, forward_multiplier=2):
 
     def value(f):
         q_factor, _ = _cholesky_jittered(f + s._prec)
-        return 2.0 * trace_ratio(eval_term, q_factor)
+        return 2.0 * _trace_by_factor(eval_term, q_factor)
 
     width = forward_multiplier * k
     chosen, gains, steps = [], [], []
@@ -245,7 +250,7 @@ def test_pool_scores_match_per_candidate_oracle(seed, categorical, few_rows, str
         r_factor, _ = _cholesky_jittered(eval_term + s._prec)
         ld_scale = 1.0 + half_logdet_p + 0.5 * abs(factor_logdet(r_factor))
         assert_close(got[:, 0], want[:, 0], ld_scale)
-        assert_close(got[:, 1], want[:, 1], trace_ratio(eval_term, s._prec_factor))
+        assert_close(got[:, 1], want[:, 1], _trace_by_factor(eval_term, s._prec_factor))
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,8 +260,8 @@ def test_removing_members_matches_oracle(seed, categorical, few_rows, structure,
     # q - F_n stays positive definite, so every det(I - L S) is positive.
     s, pool, evals = make_problem(seed, categorical, few_rows, structure, logit_scale)
     members = pool[: max(1, len(pool) // 2)]
-    q, q_factor = s.precision_with(members)
-    q_inv = factor_inverse(q_factor)
+    q = s.precision_with(members)
+    q_factor, q_inv = q.factor(), q.inverse()
     eval_term = eval_fisher(s, evals, "mean")
     curv = s.curvatures(members)
     proj = candidate_projection(s.model, members, q_inv)
@@ -264,12 +269,12 @@ def test_removing_members_matches_oracle(seed, categorical, few_rows, structure,
     got_ld = candidate_logdet_ratios(curv, proj, -1.0)
     got_tr = candidate_trace_ratios(curv, proj, sandwich, -1.0)
     for x, ld, tr in zip(members, got_ld, got_tr):
-        down = q - fisher_information(s.model, x).values
+        down = q.values - fisher_information(s.model, x).values
         down_factor, _ = _cholesky_jittered(down)
         want_ld = 0.5 * (factor_logdet(down_factor) - factor_logdet(q_factor))
         assert_close(ld, want_ld, 1.0 + 0.5 * abs(factor_logdet(q_factor)))
-        want_tr = trace_ratio(eval_term, down_factor) - trace_ratio(eval_term, q_factor)
-        assert_close(tr, want_tr, trace_ratio(eval_term, down_factor))
+        want_tr = _trace_by_factor(eval_term, down_factor) - _trace_by_factor(eval_term, q_factor)
+        assert_close(tr, want_tr, _trace_by_factor(eval_term, down_factor))
 
 
 def test_indefinite_update_raises():
@@ -326,12 +331,12 @@ def test_bait_matches_oracle(seed, categorical, few_rows, structure, logit_scale
     multiplier = width // k
     got = bait_forward_backward(s, pool, k, evals, forward_multiplier=multiplier)
     want, want_value, want_gains, steps = oracle_bait(s, pool, k, evals, multiplier)
-    scale = 2.0 * trace_ratio(eval_fisher(s, evals, "mean"), s._prec_factor)
+    scale = 2.0 * _trace_by_factor(eval_fisher(s, evals, "mean"), s._prec_factor)
     if assert_same_picks(got.indices, want, steps, -1.0):
         assert_close(got.objective_value, want_value, scale)
         assert_close(got.gains, want_gains, scale)
-    _, q_factor = s.precision_with(pool[list(got.indices)])
-    set_value = 2.0 * trace_ratio(eval_fisher(s, evals, "mean"), q_factor)
+    q_factor = s.precision_with(pool[list(got.indices)]).factor()
+    set_value = 2.0 * _trace_by_factor(eval_fisher(s, evals, "mean"), q_factor)
     assert_close(got.objective_value, set_value, scale)
 
 

@@ -587,6 +587,7 @@ def test_cli_config_and_io_errors_exit_one(tmp_path, capsys):
         "truncated_model.json": '{"head": {"kind": "categorical"',
         "model_c.json": '{"head": {"kind": "categorical", "C": "x"}, "D": 16, '
         '"weights": [], "lambda": 1.0}',
+        "lambda_inf.json": '{"lambda": Infinity}',
     }
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
@@ -607,6 +608,17 @@ def test_cli_config_and_io_errors_exit_one(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "error" in err
+
+    # an infinite lambda or class_sep is an input error naming the field,
+    # not a numerical failure further down
+    for argv, field in (
+        (["train", "--lambda", "inf", *small], "lambda"),
+        (["train", "--config", str(tmp_path / "lambda_inf.json")], "lambda"),
+        (["train", "--class-sep", "inf", *small], "class_sep"),
+    ):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"infoselect train: error: {field} must be finite"]
 
 
 def test_cli_gaussian_head_runs_with_default_methods(tmp_path, capsys):

@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd, random_spd
-from infoselect.errors import DimensionMismatch, NotPositiveDefinite
+from infoselect.errors import DimensionMismatch, NonFiniteMatrix, NotPositiveDefinite
+from infoselect.glm import PROB_FLOOR, Head, _logsumexp
 from infoselect.linalg import (
+    INVERSE_BLOCK,
     JITTER_MULTIPLIERS,
     PsdMatrix,
+    _cholesky_jittered,
     as_psd,
     chol_logdet,
     jitter_to_pd,
     kron,
+    lower_inverse,
     solve_lower,
     solve_psd,
 )
+from infoselect.posterior import GaussianPosterior, sample_weights
+from infoselect.scores import trace_ratio
 
 
 def test_construction_symmetrizes():
@@ -214,3 +222,140 @@ def test_solve_residual_property(seed):
     b = rng.standard_normal(4)
     x = solve_psd(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the scipy calls that the numpy-only paths replaced
+
+RTOL = 1e-10
+# sizes on both sides of INVERSE_BLOCK, so lower_inverse recurses
+ORACLE_DIMS = (1, 2, 5, INVERSE_BLOCK, INVERSE_BLOCK + 1, 64, 100, 160)
+
+
+def assert_rel(got, want):
+    """Max-norm error within RTOL of the oracle's max-norm."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+def graded_spd(seed, dim, spread):
+    """random_spd rescaled by a diagonal spanning `spread` decades."""
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** rng.uniform(0.0, spread, dim)
+    return d[:, None] * random_spd(rng, dim) * d[None, :], rng
+
+
+def check_against_scipy(a, rng):
+    m = PsdMatrix(a)
+    dim = m.dim
+    want_factor = scipy.linalg.cholesky(m.values, lower=True)
+    assert_rel(m.factor(), want_factor)
+    assert_rel(_cholesky_jittered(m.values)[0], want_factor)
+    want_inv_factor = scipy.linalg.solve_triangular(want_factor, np.eye(dim), lower=True)
+    assert_rel(m.factor_inv(), want_inv_factor)
+    assert np.array_equal(np.triu(m.factor_inv(), 1), np.zeros((dim, dim)))
+    assert_rel(m.inverse(), scipy.linalg.cho_solve((want_factor, True), np.eye(dim)))
+    b = rng.standard_normal((dim, 3))
+    assert_rel(solve_psd(m, b), scipy.linalg.cho_solve((want_factor, True), b))
+    assert_rel(solve_psd(m, b[:, 0]), scipy.linalg.cho_solve((want_factor, True), b[:, 0]))
+    assert_rel(solve_lower(m, b), scipy.linalg.solve_triangular(want_factor, b, lower=True))
+    term = random_psd(rng, dim)
+    want_trace = 0.5 * np.trace(scipy.linalg.cho_solve((want_factor, True), term))
+    assert trace_ratio(term, m.inverse()) == pytest.approx(want_trace, rel=RTOL, abs=0.0)
+    post = GaussianPosterior(rng.standard_normal(dim), m, 1.0)
+    z = np.random.default_rng(5).standard_normal((dim, 4))
+    want_draws = post.mode + scipy.linalg.solve_triangular(want_factor.T, z, lower=False).T
+    assert_rel(sample_weights(post, 4, 5), want_draws)
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_factor_paths_match_scipy(dim):
+    a, rng = graded_spd(dim, dim, 2.0)
+    check_against_scipy(a, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    dim=st.integers(min_value=1, max_value=3 * INVERSE_BLOCK),
+    spread=st.sampled_from([0.0, 1.0, 2.0]),
+)
+def test_factor_paths_match_scipy_property(seed, dim, spread):
+    a, rng = graded_spd(seed, dim, spread)
+    check_against_scipy(a, rng)
+
+
+def test_jittered_factor_matches_scipy_at_its_shift():
+    # rank one: the plain factorization fails, a shifted one succeeds
+    g = np.arange(1.0, 41.0)
+    a = np.outer(g, g)
+    factor, eps = _cholesky_jittered(a)
+    assert eps > 0.0
+    assert_rel(factor, scipy.linalg.cholesky(a + eps * np.eye(40), lower=True))
+    assert_rel(lower_inverse(factor) @ factor, np.eye(40))
+
+
+def test_non_finite_matrix_raises_before_factorizing():
+    for bad in (np.inf, -np.inf, np.nan):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(NonFiniteMatrix, match="3x3 matrix: array must not contain infs"):
+            _cholesky_jittered(a)
+
+
+LOGSUMEXP_EDGES = [
+    [0.0, -40.0],  # the max dominates: the remainder survives through log1p
+    [1000.0, 0.0],
+    [-1000.0, -1000.0],
+    [3.0, 3.0, 1.0],  # a tie at the max
+    [5.0],
+    [np.inf, 1.0],
+    [-np.inf, -np.inf],
+    [-np.inf, 2.0],
+    [np.nan, 1.0],
+]
+
+
+@pytest.mark.parametrize("row", LOGSUMEXP_EDGES)
+def test_logsumexp_edges_match_scipy(row):
+    z = np.array(row)
+    with np.errstate(all="ignore"):
+        got = _logsumexp(z)
+        want = scipy.special.logsumexp(z, axis=-1, keepdims=True)
+    assert got.shape == want.shape
+    if np.isfinite(want).all():
+        assert got == pytest.approx(want, rel=RTOL, abs=0.0)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    classes=st.integers(min_value=1, max_value=12),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 60.0, 800.0]),
+    ties=st.booleans(),
+)
+def test_logsumexp_matches_scipy_property(seed, classes, scale, ties):
+    rng = np.random.default_rng(seed)
+    z = scale * rng.standard_normal((7, classes))
+    if ties:
+        z[:, -1] = np.max(z, axis=1)
+    got = _logsumexp(z)
+    want = scipy.special.logsumexp(z, axis=-1, keepdims=True)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+
+
+def test_predictive_at_logit_scale_60_matches_scipy_form():
+    # at this scale most softmax entries underflow and meet the clamp;
+    # pins the current rule: clamp to [PROB_FLOOR, 1 - PROB_FLOOR], no
+    # renormalization
+    rng = np.random.default_rng(60)
+    z = 60.0 * rng.standard_normal((50, 6))
+    got = Head.categorical(6).predictive(z)
+    raw = np.exp(z - scipy.special.logsumexp(z, axis=-1, keepdims=True))
+    want = np.clip(raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+    assert np.any(raw < PROB_FLOOR) and np.any(raw > 1.0 - PROB_FLOOR)
+    assert np.all((got >= PROB_FLOOR) & (got <= 1.0 - PROB_FLOOR))
