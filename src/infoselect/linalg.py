@@ -83,12 +83,7 @@ class PsdMatrix:
 
     def inverse(self) -> np.ndarray:
         """(L L^T)^-1 = L^-T L^-1, computed on first use."""
-
-        def compute():
-            factor_inv = self.factor_inv()
-            return factor_inv.T @ factor_inv
-
-        return self._cached("_inverse", compute)
+        return self._cached("_inverse", lambda: self.factor_inv().T @ self.factor_inv())
 
     @property
     def trace(self) -> float:
