@@ -45,15 +45,23 @@ def load_csv(path) -> Dataset:
     d = len(feature_cols)
     width = len(header)
 
-    body = rows[1:]
-    values = _parse_body(body, width)
-    if values is None:
-        values = _parse_cells(body, d, width)
+    values = parse_rows(rows[1:], d, width)
     features = np.ascontiguousarray(values[:, :d])
     labels = values[:, d].copy() if has_labels else None
     if labels is not None and np.all(labels == np.floor(labels)):  # True when empty
         labels = labels.astype(np.int64)
     return Dataset(features, labels)
+
+
+def parse_rows(body: list[list[str]], d: int, width: int) -> np.ndarray:
+    """Every cell of the body rows as a float, shape (rows, width).
+
+    A ragged row raises MalformedHeader, a non-numeric or non-finite cell
+    in the first d columns NonNumericCell, and a non-finite one after them
+    (the label) LabelOutOfRange, each naming the first bad row or cell.
+    """
+    values = _parse_body(body, width)
+    return _parse_cells(body, d, width) if values is None else values
 
 
 def _parse_body(body: list[list[str]], width: int) -> np.ndarray | None:

@@ -15,8 +15,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .dataio import format_float, gen_synthetic, load_csv
+from .dataio import format_float, gen_synthetic, load_csv, parse_rows
 from .errors import (
+    BatchTooLarge,
     ConfigError,
     InfoselectError,
     LengthMismatch,
@@ -420,8 +421,11 @@ class ScoreTable:
         unknown = [n for n in names if n not in SCORE_ORIENTATIONS]
         if unknown:
             raise ConfigError(f"score table {path}: unknown columns {unknown}")
-        body = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
-        body = body.reshape(len(lines) - 1, len(header))
+        width = len(header)
+        try:
+            body = parse_rows([ln.split(",") for ln in lines[1:]], width, width)
+        except InfoselectError as e:
+            raise _tagged(e, f"score table {path}")
         return cls(
             indices=tuple(int(i) for i in body[:, 0]),
             columns={n: body[:, j + 1].copy() for j, n in enumerate(names)},
@@ -727,6 +731,25 @@ def _accuracy(model: GlmModel, data: Dataset, row_ids: np.ndarray) -> float:
     return float(np.mean(np.argmax(zs, axis=1) == ys))
 
 
+def _check_pool_feeds_rounds(config: ExperimentConfig, pool_size: int):
+    """Raise before any fit if some round would find the pool too small.
+
+    Round r starts with pool_size - (r - 1) batch_size rows. It needs
+    batch_size of them, and bait its forward width of 2 batch_size. The
+    error names the first such round, as that round itself would.
+    """
+    b = config.batch_size
+    need = 2 * b if config.method == "bait" else b
+    if config.rounds == 0 or pool_size - (config.rounds - 1) * b >= need:
+        return
+    # the first r with pool_size - (r - 1) b < need; b >= 1 here
+    rnd = max(1, (pool_size - need) // b + 2)
+    left = pool_size - (rnd - 1) * b
+    if b > left:
+        raise PoolExhausted(f"round {rnd} needs {b} rows, pool has {left}")
+    raise _tagged(BatchTooLarge(f"forward width {need} from a pool of {left}"), "select bait")
+
+
 def cmd_simulate(config: ExperimentConfig) -> pathlib.Path:
     """Run the label-and-refit loop and write per-round learning curves.
 
@@ -745,6 +768,7 @@ def cmd_simulate(config: ExperimentConfig) -> pathlib.Path:
     splits = make_splits(config, data.n)
     if splits.test.size == 0:
         raise ConfigError("no held-out rows left for accuracy; shrink the splits")
+    _check_pool_feeds_rounds(config, splits.pool.size)
 
     rows = []
     methods = dict.fromkeys((config.method, "random"))  # ordered, without repeats
@@ -755,11 +779,6 @@ def cmd_simulate(config: ExperimentConfig) -> pathlib.Path:
         model, _ = _fit(run_config, data.subset(train_ids))
         rows.append((method, 0, len(train_ids), _accuracy(model, data, splits.test), 0.0))
         for rnd in range(1, config.rounds + 1):
-            if config.batch_size > len(pool_ids):
-                raise PoolExhausted(
-                    f"round {rnd} needs {config.batch_size} rows, "
-                    f"pool has {len(pool_ids)}"
-                )
             posterior = build_posterior(model, data.subset(train_ids), config.lam)
             scorer = Scorer(model, posterior)
             result = select_batch(

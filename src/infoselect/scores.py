@@ -138,6 +138,62 @@ def candidate_trace_ratios(curv, proj, sandwich, sign: float = 1.0) -> np.ndarra
     return -0.5 * sign * np.trace(solved, axis1=-2, axis2=-1)
 
 
+class RankCState:
+    """A^-1 and the stacks S_n = U_n^T A^-1 U_n of fixed rows, kept through rank-C updates.
+
+    `update(b, sign)` adds (sign +1) or removes (sign -1) row b's Fisher
+    F_b = U_b L_b U_b^T. With V = A^-1 U_b and the push-through form of
+    Woodbury, M = sign L_b (I + sign S_b L_b)^-1, so
+    (A + sign F_b)^-1 = A^-1 - V M V^T and S_n' = S_n - X_n M X_n^T with
+    X_n = U_n^T V: one (n, D) x (D, C^2) product, and neither a square root
+    nor an inverse of L_b. Given the fixed k x k term E, the state also
+    carries T_n = U_n^T A^-1 E A^-1 U_n, which moves by W = A^-1 E V and
+    V^T E V. Starting A^-1 is the only k x k inverse the state needs.
+    """
+
+    def __init__(self, model: GlmModel, xs, curv, inverse, term=None):
+        self.model = model
+        self.xs = xs
+        self.curv = curv
+        self.inverse = np.array(inverse, dtype=float)
+        self.proj = candidate_projection(model, xs, self.inverse)
+        self.term = term
+        self.sandwich = None
+        if term is not None:
+            self.sandwich = candidate_projection(
+                model, xs, self.inverse @ term @ self.inverse
+            )
+
+    def _cross(self, v: np.ndarray) -> np.ndarray:
+        """U_n^T v for every row, an (n, C, C) stack, from one product."""
+        c, d = self.model.num_outputs, self.model.dim
+        # v[c1 D + i, c2] moves to (i, c1 C + c2)
+        by_feature = v.reshape(c, d, c).transpose(1, 0, 2).reshape(d, c * c)
+        return (self.xs @ by_feature).reshape(-1, c, c)
+
+    def update(self, b: int, sign: float):
+        """Add (sign +1) or remove (sign -1) row b's Fisher term from A."""
+        c, d = self.model.num_outputs, self.model.dim
+        curv_b = self.curv[b]
+        v = self.inverse.reshape(-1, c, d) @ self.xs[b]
+        # sign (I + sign L_b S_b)^-1 L_b is M by push-through; it is
+        # symmetric in exact arithmetic, so rounding is not let build up
+        m = sign * np.linalg.solve(np.eye(c) + sign * curv_b @ self.proj[b], curv_b)
+        m = 0.5 * (m + m.T)
+        x = self._cross(v)
+        xm = x @ m
+        if self.term is not None:
+            ev = self.term @ v
+            cross = xm @ self._cross(self.inverse @ ev).transpose(0, 2, 1)
+            self.sandwich += (
+                xm @ (v.T @ ev) @ xm.transpose(0, 2, 1)
+                - cross
+                - cross.transpose(0, 2, 1)
+            )
+        self.proj -= xm @ x.transpose(0, 2, 1)
+        self.inverse -= v @ m @ v.T
+
+
 def logdet_changes(s: Scorer, xs, q: PsdMatrix, r: PsdMatrix | None = None) -> np.ndarray:
     """Change of a log-det objective when each row of xs alone joins q.
 

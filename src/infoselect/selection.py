@@ -16,12 +16,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BatchTooLarge, TooManySubsets
-from .glm import candidate_projection, fisher_batch
+from .glm import fisher_batch
 from .scores import (
+    RankCState,
     Scorer,
+    candidate_logdet_ratios,
     candidate_trace_ratios,
     eval_fisher,
-    logdet_changes,
     logdet_ratio,
     trace_ratio,
 )
@@ -97,25 +98,39 @@ def greedy_logdet(
     proxies), ties to the lowest index. The gain trace records the value
     change per step; for eig these are nonincreasing by submodularity.
 
-    Each step factors the running precision q = P + F_batch (and E + q for
-    the transductive proxies) once, then scores every remaining candidate
-    as a C x C problem through `scores.logdet_changes`.
+    Every remaining candidate is scored as a C x C problem through the
+    stacks U_n^T q^-1 U_n of the running precision q = P + F_batch (and
+    U_n^T (E + q)^-1 U_n for the transductive proxies), which a
+    `scores.RankCState` carries across steps: each pick is one rank-C
+    update, and only E + P is factorized, once. The objective is the
+    k x k value of the chosen set.
     """
     pool = np.asarray(pool_xs, dtype=float)
     eval_term = _eval_term(s, objective, eval_xs)
     n = pool.shape[0]
     if k > n:
         raise BatchTooLarge(f"k={k} from a pool of {n}")
+    curv = s.curvatures(pool)
+    p = s.posterior.precision
+    states = [RankCState(s.model, pool, curv, p.inverse())]
+    if eval_term is not None:
+        states.append(RankCState(s.model, pool, curv, (p + eval_term).inverse()))
     chosen: list[int] = []
     gains: list[float] = []
     remaining = list(range(n))
     for _ in range(k):
-        q = s.precision_with(pool[chosen])
-        r = None if eval_term is None else q + eval_term
-        change = logdet_changes(s, pool[remaining], q, r)
-        best = int(np.argmax(change) if eval_term is None else np.argmin(change))
+        cand_curv = curv[remaining]
+        change = candidate_logdet_ratios(cand_curv, states[0].proj[remaining])
+        if eval_term is None:
+            best = int(np.argmax(change))
+        else:
+            # logdet_ratio(E, q + F_n) - logdet_ratio(E, q), as in `logdet_changes`
+            change = candidate_logdet_ratios(cand_curv, states[1].proj[remaining]) - change
+            best = int(np.argmin(change))
         gains.append(float(change[best]))
         chosen.append(remaining.pop(best))
+        for state in states:
+            state.update(chosen[-1], 1.0)
     return SelectionResult(
         indices=tuple(chosen),
         objective_value=_set_value(s, pool[chosen], eval_term),
@@ -135,9 +150,11 @@ def bait_forward_backward(
     objective least, down to k. Ties to the lowest index when adding and
     to the earliest pick when dropping.
 
-    Each step factors q = P + F_batch once; every candidate's value
-    tr((q + s F_n)^-1 F_eval), s = +1 to add and -1 to drop, then comes
-    from the rank-C Woodbury identity of `scores`.
+    A `scores.RankCState` carries q^-1 for q = P + F_batch and the stacks
+    U_n^T q^-1 U_n and U_n^T q^-1 F_eval q^-1 U_n across steps, one rank-C
+    update per pick (sign +1) or drop (sign -1). Every candidate's value
+    tr((q + s F_n)^-1 F_eval) then comes from the rank-C Woodbury identity
+    of `scores`. The objective is the k x k value of the chosen set.
     """
     pool = np.asarray(pool_xs, dtype=float)
     width = forward_multiplier * k
@@ -147,27 +164,25 @@ def bait_forward_backward(
         )
     eval_term = eval_fisher(s, eval_xs, "mean")
     curv = s.curvatures(pool)
+    state = RankCState(s.model, pool, curv, s.posterior.precision.inverse(), eval_term)
     chosen: list[int] = []
     gains: list[float] = []
     remaining = list(range(pool.shape[0]))
     for step in range(2 * width - k):
         adding = step < width
         cands = remaining if adding else chosen
-        q_inv = s.precision_with(pool[chosen]).inverse()
+        sign = 1.0 if adding else -1.0
         # BAIT ranks on tr(q^-1 F_eval) itself, twice the score's half.
-        value = 2.0 * trace_ratio(eval_term, q_inv)
-        rows = pool[cands]
+        value = 2.0 * trace_ratio(eval_term, state.inverse)
         values = value + 2.0 * candidate_trace_ratios(
-            curv[cands],
-            candidate_projection(s.model, rows, q_inv),
-            candidate_projection(s.model, rows, q_inv @ eval_term @ q_inv),
-            1.0 if adding else -1.0,
+            curv[cands], state.proj[cands], state.sandwich[cands], sign
         )
         best = int(np.argmin(values))
         gains.append(float(values[best] - value))
         picked = cands.pop(best)
         if adding:
             chosen.append(picked)
+        state.update(picked, sign)
     q_inv = s.precision_with(pool[chosen]).inverse()
     return SelectionResult(
         indices=tuple(chosen),

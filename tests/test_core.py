@@ -8,12 +8,18 @@ agree to 1e-10 relative to the k x k quantities the oracle subtracts; picks
 must agree except at a near tie (relative gap < 1e-9 in the oracle's own
 values), after which the two trajectories may part.
 
+Greedy and BAIT carry q^-1 and the candidate stacks across steps
+(`scores.RankCState`). After every update, the carried arrays are held to
+a fresh inverse and fresh `candidate_projection`s to 1e-10 relative, and
+the selections to the loops that refactorized q at every step.
+
 The score columns built in one array pass (sampled labels, data matrices,
 `eig_logdet_sim`, `egl`, `grand`, the Monte Carlo BALD/EPIG pass) are held
 to the per-row loops they replaced, to 1e-10 relative to the terms those
 loops subtract; sampled labels must be equal.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -23,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoselect import scores as scores_module
+from infoselect.dataio import gen_synthetic
 from infoselect.errors import NotPositiveDefinite
 from infoselect.glm import (
     Dataset,
@@ -31,9 +38,10 @@ from infoselect.glm import (
     candidate_projection,
     fisher_batch,
     fisher_information,
+    map_fit,
 )
 from infoselect.linalg import PsdMatrix, _cholesky_jittered, factor_logdet
-from infoselect.posterior import GaussianPosterior
+from infoselect.posterior import GaussianPosterior, build_posterior
 from infoselect.prediction import (
     PosteriorSamples,
     bald_mc,
@@ -42,6 +50,7 @@ from infoselect.prediction import (
     predictive_probs,
 )
 from infoselect.scores import (
+    RankCState,
     Scorer,
     candidate_logdet_ratios,
     candidate_trace_ratios,
@@ -51,9 +60,16 @@ from infoselect.scores import (
     eval_fisher,
     grand_pool_scores,
     jepig_pool_scores,
+    logdet_changes,
     logdet_ratio,
+    trace_ratio,
 )
-from infoselect.selection import bait_forward_backward, greedy_logdet
+from infoselect.selection import (
+    _eval_term,
+    _set_value,
+    bait_forward_backward,
+    greedy_logdet,
+)
 from infoselect.similarity import (
     GIVEN,
     HARD,
@@ -338,6 +354,169 @@ def test_bait_matches_oracle(seed, categorical, few_rows, structure, logit_scale
     q_factor = s.precision_with(pool[list(got.indices)]).factor()
     set_value = 2.0 * _trace_by_factor(eval_fisher(s, evals, "mean"), q_factor)
     assert_close(got.objective_value, set_value, scale)
+
+
+# ---------------------------------------------------------------------------
+# carried rank-C state: the refactorize-each-step loops it replaced
+
+
+def refactorized_greedy(s, pool, k, objective, eval_xs):
+    """Greedy log-det growth that factorizes q = P + F_batch at every step."""
+    eval_term = _eval_term(s, objective, eval_xs)
+    chosen, gains, steps = [], [], []
+    remaining = list(range(len(pool)))
+    for _ in range(k):
+        q = s.precision_with(pool[chosen])
+        r = None if eval_term is None else q + eval_term
+        change = logdet_changes(s, pool[remaining], q, r)
+        best = int(np.argmax(change) if eval_term is None else np.argmin(change))
+        steps.append(dict(zip(remaining, change)))
+        gains.append(float(change[best]))
+        chosen.append(remaining.pop(best))
+    return chosen, _set_value(s, pool[chosen], eval_term), gains, steps
+
+
+def refactorized_bait(s, pool, k, eval_xs, forward_multiplier=2):
+    """BAIT that factorizes q = P + F_batch and re-projects at every step."""
+    width = forward_multiplier * k
+    eval_term = eval_fisher(s, eval_xs, "mean")
+    curv = s.curvatures(pool)
+    chosen, gains, steps = [], [], []
+    remaining = list(range(len(pool)))
+    for step in range(2 * width - k):
+        adding = step < width
+        cands = remaining if adding else chosen
+        q_inv = s.precision_with(pool[chosen]).inverse()
+        value = 2.0 * trace_ratio(eval_term, q_inv)
+        rows = pool[cands]
+        values = value + 2.0 * candidate_trace_ratios(
+            curv[cands],
+            candidate_projection(s.model, rows, q_inv),
+            candidate_projection(s.model, rows, q_inv @ eval_term @ q_inv),
+            1.0 if adding else -1.0,
+        )
+        best = int(np.argmin(values))
+        steps.append(dict(zip(cands, values)))
+        gains.append(float(values[best] - value))
+        picked = cands.pop(best)
+        if adding:
+            chosen.append(picked)
+    q_inv = s.precision_with(pool[chosen]).inverse()
+    return chosen, 2.0 * trace_ratio(eval_term, q_inv), gains, steps
+
+
+@contextmanager
+def carried_states():
+    """Log every RankCState update with copies of the arrays it leaves.
+
+    Yields {state: [(b, sign, inverse, proj, sandwich), ...]} in the order
+    the states first update, which is the order they were made.
+    """
+    log = {}
+    update = RankCState.update
+
+    def spy(self, b, sign):
+        update(self, b, sign)
+        sandwich = None if self.sandwich is None else self.sandwich.copy()
+        log.setdefault(self, []).append(
+            (b, sign, self.inverse.copy(), self.proj.copy(), sandwich)
+        )
+
+    with mock.patch.object(RankCState, "update", spy):
+        yield log
+
+
+def assert_carried_match_fresh(s, pool, log, bases, term=None):
+    """Each logged state against a fresh inverse and fresh projections.
+
+    bases holds each state's starting matrix A, in the order of the log;
+    after every update, A has gained sign F_b for each update so far.
+    """
+    assert len(log) == len(bases)
+    for base, updates in zip(bases, log.values()):
+        a = np.array(base, dtype=float)
+        for b, sign, inverse, proj, sandwich in updates:
+            a = a + sign * fisher_information(s.model, pool[b]).values
+            fresh = PsdMatrix(a).inverse()
+            assert_close(inverse, fresh, np.max(np.abs(fresh)))
+            want = candidate_projection(s.model, pool, fresh)
+            assert_close(proj, want, np.max(np.abs(want)))
+            if term is not None:
+                want = candidate_projection(s.model, pool, fresh @ term @ fresh)
+                assert_close(sandwich, want, np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(objective=st.sampled_from(["eig", "epig", "jepig"]), **problems)
+def test_greedy_carried_state_matches_refactorized_steps(
+    objective, seed, categorical, few_rows, structure, logit_scale
+):
+    s, pool, evals = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    k = min(4, len(pool))
+    eval_xs = None if objective == "eig" else evals
+    with carried_states() as log:
+        got = greedy_logdet(s, pool, k, objective, eval_xs)
+    bases = [s._prec]
+    if objective != "eig":
+        bases.append(s._prec + _eval_term(s, objective, evals))
+    assert_carried_match_fresh(s, pool, log, bases)
+    assert all(len(updates) == k for updates in log.values())
+
+    want, want_value, want_gains, steps = refactorized_greedy(s, pool, k, objective, eval_xs)
+    scale = 1.0 + 0.5 * abs(factor_logdet(s._prec_factor)) + abs(want_value)
+    if assert_same_picks(got.indices, want, steps, 1.0 if objective == "eig" else -1.0):
+        assert got.objective_value == want_value
+        assert_close(got.gains, want_gains, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**problems)
+def test_bait_carried_state_matches_refactorized_steps(
+    seed, categorical, few_rows, structure, logit_scale
+):
+    s, pool, evals = make_problem(seed, categorical, few_rows, structure, logit_scale)
+    k = max(1, len(pool) // 4)
+    multiplier = min(2 * k, len(pool)) // k
+    with carried_states() as log:
+        got = bait_forward_backward(s, pool, k, evals, forward_multiplier=multiplier)
+    eval_term = eval_fisher(s, evals, "mean")
+    assert_carried_match_fresh(s, pool, log, [s._prec], eval_term)
+    (updates,) = log.values()
+    assert [sign for _, sign, *_ in updates] == [1.0] * (multiplier * k) + [-1.0] * (
+        (multiplier - 1) * k
+    )
+
+    want, want_value, want_gains, steps = refactorized_bait(s, pool, k, evals, multiplier)
+    if assert_same_picks(got.indices, want, steps, -1.0):
+        assert got.objective_value == want_value
+        assert_close(got.gains, want_gains, 2.0 * _trace_by_factor(eval_term, s._prec_factor))
+
+
+def test_carried_state_does_not_drift_at_benchmark_shape():
+    # the select-batch shape: D=16, C=10 (k=160), a fitted 80-row model,
+    # a 200-row pool, k=10, so BAIT takes 20 forward and 10 backward steps
+    data = gen_synthetic(0, 480, 16, 10, 2.0)
+    train = data.subset(range(80))
+    model = map_fit(train, Head.categorical(10), 1.0)
+    s = Scorer(model, build_posterior(model, train, 1.0))
+    pool, evals = data.features[80:280], data.features[280:]
+    eval_term = eval_fisher(s, evals, "mean")
+    for objective in ("eig", "epig"):
+        eval_xs = None if objective == "eig" else evals
+        with carried_states() as log:
+            got = greedy_logdet(s, pool, 10, objective, eval_xs)
+        bases = [s._prec] if objective == "eig" else [s._prec, s._prec + eval_term]
+        assert_carried_match_fresh(s, pool, log, bases)
+        want, want_value, want_gains, _ = refactorized_greedy(s, pool, 10, objective, eval_xs)
+        assert list(got.indices) == want and got.objective_value == want_value
+        assert_close(got.gains, want_gains, 1e-12 + np.max(np.abs(want_gains)))
+    with carried_states() as log:
+        got = bait_forward_backward(s, pool, 10, evals)
+    assert len(next(iter(log.values()))) == 30
+    assert_carried_match_fresh(s, pool, log, [s._prec], eval_term)
+    want, want_value, want_gains, _ = refactorized_bait(s, pool, 10, evals)
+    assert list(got.indices) == want and got.objective_value == want_value
+    assert_close(got.gains, want_gains, np.max(np.abs(want_gains)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import infoselect.cli as cli
 from infoselect.dataio import format_float, gen_synthetic, load_csv, save_csv
 from infoselect.errors import (
+    BatchTooLarge,
     ConfigError,
     LabelOutOfRange,
     LengthMismatch,
@@ -324,6 +326,17 @@ def test_score_table_rejects_unknown_column(tmp_path):
         ScoreTable.from_csv(p)
 
 
+def test_score_table_rejects_bad_cells(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("index,eig_logdet\n0,1.5\n1,2.5,7\n")
+    with pytest.raises(MalformedHeader, match=r"s\.csv: row 1 has 3 cells, expected 2"):
+        ScoreTable.from_csv(p)
+    p.write_text("index,eig_logdet\n0,1.5\n1,abc\n")
+    with pytest.raises(NonNumericCell, match=r"cell \(1,1\) is not numeric: 'abc'") as e:
+        ScoreTable.from_csv(p)
+    assert (e.value.row, e.value.col) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -473,6 +486,30 @@ def test_simulate_guards(tmp_path):
         cmd_simulate(small_config(tmp_path, method="top_k_grand"))
     # select may rank labeled data on them
     cmd_select(small_config(tmp_path, method="top_k_grand"))
+
+
+@pytest.mark.parametrize(
+    "method, pool_size, error, message",
+    [
+        ("greedy_epig_logdet", 25, PoolExhausted, "round 3 needs 10 rows, pool has 5"),
+        ("bait", 35, BatchTooLarge, "select bait: forward width 20 from a pool of 15"),
+        ("bait", 5, PoolExhausted, "round 1 needs 10 rows, pool has 5"),
+    ],
+)
+def test_simulate_checks_the_pool_before_any_fit(tmp_path, method, pool_size, error, message):
+    cfg = small_config(tmp_path, method=method, pool_size=pool_size, batch_size=10, rounds=3)
+    with mock.patch("infoselect.harness._fit") as fit:
+        with pytest.raises(error) as e:
+            cmd_simulate(cfg)
+    assert str(e.value) == message
+    fit.assert_not_called()
+
+
+def test_simulate_runs_when_the_last_round_just_fits(tmp_path):
+    # rounds x batch_size equals the pool; bait's last round has 2 batch_size left
+    for method, pool_size in (("greedy_eig_logdet", 15), ("bait", 20)):
+        cfg = small_config(tmp_path, method=method, pool_size=pool_size, batch_size=5, rounds=3)
+        assert cmd_simulate(cfg).read_text().splitlines()[-1].startswith("random,3,45,")
 
 
 def test_commands_are_deterministic(tmp_path):
