@@ -99,10 +99,8 @@ from .selection import (
 from .prediction import (
     PosteriorSamples,
     bald_mc,
-    bald_mc_pool,
     draw_posterior_samples,
     epig_mc,
-    epig_mc_pool,
     joint_eig_exact,
     mc_pool_scores,
     predictive_probs,

@@ -99,7 +99,8 @@ def main(argv=None) -> int:
         except NumericalError as e:
             print(f"infoselect {args.command}: numerical failure: {e}", file=sys.stderr)
             return 2
-        except (InfoselectError, OSError) as e:
+        # numpy refuses an allocation that a huge size flag asks for
+        except (InfoselectError, OSError, MemoryError) as e:
             print(f"infoselect {args.command}: error: {e}", file=sys.stderr)
             return 1
     for w in caught:

@@ -119,11 +119,6 @@ def bald_mc(samples: PosteriorSamples, model_head: Head, x) -> float:
     return max(0.0, value)
 
 
-def bald_mc_pool(samples: PosteriorSamples, model_head: Head, xs) -> np.ndarray:
-    """bald_mc of every row of xs; see mc_pool_scores."""
-    return mc_pool_scores(samples, model_head, xs)[0]
-
-
 def joint_eig_exact(samples: PosteriorSamples, model_head: Head, batch_xs) -> float:
     """Joint-label disagreement over a whole batch, enumerated exactly.
 
@@ -178,21 +173,13 @@ def epig_mc(samples: PosteriorSamples, model_head: Head, x_acq, eval_xs) -> floa
     return total / eval_arr.shape[0]
 
 
-def epig_mc_pool(
-    samples: PosteriorSamples, model_head: Head, pool_xs, eval_xs, chunk: int = MC_CHUNK
-) -> np.ndarray:
-    """epig_mc of every pool row; see mc_pool_scores."""
-    return mc_pool_scores(samples, model_head, pool_xs, eval_xs, chunk)[1]
-
-
 def mc_pool_scores(
-    samples: PosteriorSamples, model_head: Head, pool_xs, eval_xs=None,
-    chunk: int = MC_CHUNK,
+    samples: PosteriorSamples, model_head: Head, pool_xs, eval_xs=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """bald_mc and epig_mc of every pool row in one chunked pass.
 
     Returns (bald, epig); epig is None when eval_xs is None. The eval
-    predictives are computed once; each chunk of `chunk` pool rows is
+    predictives are computed once; each chunk of MC_CHUNK pool rows is
     turned into probabilities once, and its joint block with the eval
     points, mean_s pi_e[s, ce] pi_a[s, ca] for every (e, ce, a, ca), is a
     single matrix product.
@@ -215,8 +202,8 @@ def mc_pool_scores(
         h_eval = _entropy(probs_eval.mean(axis=0), axis=0)
         epig = np.empty(n)
 
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, MC_CHUNK):
+        stop = min(start + MC_CHUNK, n)
         probs = _probs_by_draw(samples, model_head, pool[start:stop])
         h_acq = _entropy(probs.mean(axis=0), axis=0)
         bald[start:stop] = h_acq - _entropy(probs, axis=1).mean(axis=0)

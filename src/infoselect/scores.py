@@ -14,6 +14,12 @@ and Woodbury gives tr((A + s F_n)^-1 E) - tr(A^-1 E)
 = -s tr((I + s L_n S_n(A^-1))^-1 L_n S_n(A^-1 E A^-1)), for s = +1 (add)
 or -1 (remove). Neither needs a square root of L_n.
 
+`RankCState` is the one per-candidate engine: it holds these stacks for a
+state A and gives every candidate's change. The pool columns read it at
+A = P (and E + P), which is step 0 of greedy and BAIT selection; those
+carry the same state through rank-C updates. Every set value, empty batch
+included, comes from the batch scores' own k x k formula.
+
 Orientation: the expected/joint information scores (eig, ig) and the two
 gradient-norm baselines are maximization objectives. The transductive
 proxies (epig, jepig, pig, jpig) measure how much the evaluation predictions
@@ -119,25 +125,6 @@ def _rank_c_update(curv: np.ndarray, proj: np.ndarray, sign: float):
     return update, logdet
 
 
-def candidate_logdet_ratios(curv, proj, sign: float = 1.0) -> np.ndarray:
-    """logdet_ratio(sign F_n, A) for every candidate n at once.
-
-    1/2 logdet(I + sign L_n S_n), where curv holds the L_n and proj the
-    S_n = U_n^T A^-1 U_n.
-    """
-    return 0.5 * _rank_c_update(curv, proj, sign)[1]
-
-
-def candidate_trace_ratios(curv, proj, sandwich, sign: float = 1.0) -> np.ndarray:
-    """1/2 [tr((A + sign F_n)^-1 E) - tr(A^-1 E)] for every candidate n.
-
-    proj holds U_n^T A^-1 U_n and sandwich U_n^T A^-1 E A^-1 U_n.
-    """
-    update, _ = _rank_c_update(curv, proj, sign)
-    solved = np.linalg.solve(update, curv @ sandwich)
-    return -0.5 * sign * np.trace(solved, axis1=-2, axis2=-1)
-
-
 class RankCState:
     """A^-1 and the stacks S_n = U_n^T A^-1 U_n of fixed rows, kept through rank-C updates.
 
@@ -148,7 +135,9 @@ class RankCState:
     X_n = U_n^T V: one (n, D) x (D, C^2) product, and neither a square root
     nor an inverse of L_b. Given the fixed k x k term E, the state also
     carries T_n = U_n^T A^-1 E A^-1 U_n, which moves by W = A^-1 E V and
-    V^T E V. Starting A^-1 is the only k x k inverse the state needs.
+    V^T E V. Starting A^-1 is the only k x k inverse the state needs;
+    `logdet_changes` and `trace_changes` read every row's change at the
+    current A from these stacks.
     """
 
     def __init__(self, model: GlmModel, xs, curv, inverse, term=None):
@@ -170,6 +159,21 @@ class RankCState:
         # v[c1 D + i, c2] moves to (i, c1 C + c2)
         by_feature = v.reshape(c, d, c).transpose(1, 0, 2).reshape(d, c * c)
         return (self.xs @ by_feature).reshape(-1, c, c)
+
+    def logdet_changes(self, rows=slice(None), sign: float = 1.0) -> np.ndarray:
+        """logdet_ratio(sign F_n, A) = 1/2 logdet(I + sign L_n S_n) for each of rows."""
+        return 0.5 * _rank_c_update(self.curv[rows], self.proj[rows], sign)[1]
+
+    def trace_changes(self, rows=slice(None), sign: float = 1.0) -> np.ndarray:
+        """1/2 [tr((A + sign F_n)^-1 E) - tr(A^-1 E)] for each of rows, by Woodbury."""
+        curv = self.curv[rows]
+        update, _ = _rank_c_update(curv, self.proj[rows], sign)
+        solved = np.linalg.solve(update, curv @ self.sandwich[rows])
+        return -0.5 * sign * np.trace(solved, axis1=-2, axis2=-1)
+
+    def trace_ratios(self) -> np.ndarray:
+        """trace_ratio(F_n, A^-1) = 1/2 tr(L_n S_n) for every row."""
+        return 0.5 * np.trace(self.curv @ self.proj, axis1=-2, axis2=-1)
 
     def update(self, b: int, sign: float):
         """Add (sign +1) or remove (sign -1) row b's Fisher term from A."""
@@ -194,20 +198,18 @@ class RankCState:
         self.inverse -= v @ m @ v.T
 
 
-def logdet_changes(s: Scorer, xs, q: PsdMatrix, r: PsdMatrix | None = None) -> np.ndarray:
-    """Change of a log-det objective when each row of xs alone joins q.
+def logdet_gains(q: RankCState, r: RankCState | None = None, rows=slice(None)) -> np.ndarray:
+    """Change of a log-det objective when each of rows alone joins the batch.
 
-    q is a precision (P plus the batch so far). eig (r None):
-    logdet_ratio(F_n, q) = 1/2 logdet(I + L_n S_n(q^-1)). epig/jepig, with
-    r = E + q: logdet_ratio(E, q + F_n) - logdet_ratio(E, q)
+    q carries the precision P + F_batch. eig (r None):
+    logdet_ratio(F_n, q) = 1/2 logdet(I + L_n S_n(q^-1)). epig/jepig, with r
+    carrying E + q: logdet_ratio(E, q + F_n) - logdet_ratio(E, q)
     = 1/2 [logdet(I + L_n S_n(r^-1)) - logdet(I + L_n S_n(q^-1))].
     """
-    curv = s.curvatures(xs)
-    change = candidate_logdet_ratios(curv, candidate_projection(s.model, xs, q.inverse()))
+    change = q.logdet_changes(rows)
     if r is None:
         return change
-    r_proj = candidate_projection(s.model, xs, r.inverse())
-    return candidate_logdet_ratios(curv, r_proj) - change
+    return r.logdet_changes(rows) - change
 
 
 def _labeled_features(model: GlmModel, cands) -> np.ndarray:
@@ -254,8 +256,7 @@ def conditional_entropy_proxy(s: Scorer, cand_xs) -> float:
     by a batch-independent constant, so argmax rankings agree. Higher means
     a tighter posterior once the batch is labeled.
     """
-    f = fisher_batch(s.model, np.asarray(cand_xs, dtype=float)).values
-    return logdet_ratio(f, s._prec, s._prec_factor) - entropy_approx(s.posterior)
+    return eig_score(s, cand_xs).logdet - entropy_approx(s.posterior)
 
 
 def eval_fisher(s: Scorer, eval_xs, reduce: str) -> np.ndarray:
@@ -269,7 +270,7 @@ def eval_fisher(s: Scorer, eval_xs, reduce: str) -> np.ndarray:
     return total
 
 
-def _transductive_pair(s: Scorer, cand_xs, eval_term: np.ndarray) -> ScorePair:
+def transductive_score(s: Scorer, cand_xs, eval_term: np.ndarray) -> ScorePair:
     """Proxy MI between weights and eval predictions given the batch.
 
     q = F + P is the posterior precision after the candidates;
@@ -285,7 +286,7 @@ def _transductive_pair(s: Scorer, cand_xs, eval_term: np.ndarray) -> ScorePair:
 
 def epig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
     """Expected transductive proxy, eval Fisher averaged (minimize)."""
-    return _transductive_pair(s, cand_xs, eval_fisher(s, eval_xs, "mean"))
+    return transductive_score(s, cand_xs, eval_fisher(s, eval_xs, "mean"))
 
 
 def jepig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
@@ -294,7 +295,7 @@ def jepig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
     The trace variant is exactly M times the epig trace for M eval points;
     the log-det variants genuinely differ for M >= 2.
     """
-    return _transductive_pair(s, cand_xs, eval_fisher(s, eval_xs, "sum"))
+    return transductive_score(s, cand_xs, eval_fisher(s, eval_xs, "sum"))
 
 
 def pig_score(s: Scorer, cands, eval_pairs) -> ScorePair:
@@ -316,34 +317,28 @@ def jpig_score(s: Scorer, cands, eval_pairs) -> ScorePair:
 def eig_pool_scores(s: Scorer, pool_xs) -> tuple[np.ndarray, np.ndarray]:
     """eig_score of each pool candidate alone, as (logdet, trace) arrays.
 
-    logdet = 1/2 logdet(I + L_n S_n(P^-1)), trace = 1/2 tr(L_n S_n(P^-1)).
+    The empty batch scores 0, so each column is the candidate's change at
+    step 0 of greedy selection: logdet_gains and trace_ratios of P.
     """
     xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
-    curv = s.curvatures(xs)
-    proj = candidate_projection(s.model, xs, s.posterior.precision.inverse())
-    traces = 0.5 * np.trace(curv @ proj, axis1=-2, axis2=-1)
-    return candidate_logdet_ratios(curv, proj), traces
+    q = RankCState(s.model, xs, s.curvatures(xs), s.posterior.precision.inverse())
+    return logdet_gains(q), q.trace_ratios()
 
 
 def _transductive_pool(s: Scorer, pool_xs, eval_term) -> tuple[np.ndarray, np.ndarray]:
-    """_transductive_pair of each pool candidate alone, as (logdet, trace) arrays.
+    """transductive_score of each pool candidate alone, as (logdet, trace) arrays.
 
-    The empty batch's pair plus each candidate's change: logdet_changes
-    for the log-det, the Woodbury trace identity for the trace.
+    The empty batch's pair plus each candidate's change from the states
+    greedy selection (q carrying P, r carrying E + P) and BAIT (q) start
+    from: logdet_gains for the log-det, trace_changes for the trace.
     """
     xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
     p = s.posterior.precision
-    r = p + eval_term
-    logdets = 0.5 * (
-        factor_logdet(r.factor()) - factor_logdet(p.factor())
-    ) + logdet_changes(s, xs, p, r)
-    p_inv = p.inverse()
-    traces = trace_ratio(eval_term, p_inv) + candidate_trace_ratios(
-        s.curvatures(xs),
-        candidate_projection(s.model, xs, p_inv),
-        candidate_projection(s.model, xs, p_inv @ eval_term @ p_inv),
-    )
-    return logdets, traces
+    curv = s.curvatures(xs)
+    q = RankCState(s.model, xs, curv, p.inverse(), eval_term)
+    r = RankCState(s.model, xs, curv, (p + eval_term).inverse())
+    empty = transductive_score(s, (), eval_term)
+    return empty.logdet + logdet_gains(q, r), empty.trace + q.trace_changes()
 
 
 def epig_pool_scores(s: Scorer, pool_xs, eval_xs) -> tuple[np.ndarray, np.ndarray]:

@@ -16,15 +16,14 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BatchTooLarge, TooManySubsets
-from .glm import fisher_batch
 from .scores import (
     RankCState,
     Scorer,
-    candidate_logdet_ratios,
-    candidate_trace_ratios,
+    eig_score,
     eval_fisher,
-    logdet_ratio,
+    logdet_gains,
     trace_ratio,
+    transductive_score,
 )
 from .similarity import JacobianDataMatrix
 
@@ -76,16 +75,13 @@ def _eval_term(s: Scorer, objective: str, eval_xs):
 
 
 def _set_value(s: Scorer, xs, eval_term) -> float:
-    """Log-det objective of the candidate set xs, from one k x k factorization.
+    """Log-det objective of the candidate set xs: the log-det of its batch score.
 
-    eig (eval_term None): 1/2 [logdet(F + P) - logdet(P)];
-    epig/jepig: 1/2 [logdet(E + q) - logdet(q)] with q = F + P.
+    eig_score for eig (eval_term None), transductive_score for epig/jepig.
     """
     if eval_term is None:
-        f = fisher_batch(s.model, xs).values
-        return logdet_ratio(f, s._prec, s._prec_factor)
-    q = s.precision_with(xs)
-    return logdet_ratio(eval_term, q.values, q.factor())
+        return eig_score(s, xs).logdet
+    return transductive_score(s, xs, eval_term).logdet
 
 
 def greedy_logdet(
@@ -102,8 +98,10 @@ def greedy_logdet(
     stacks U_n^T q^-1 U_n of the running precision q = P + F_batch (and
     U_n^T (E + q)^-1 U_n for the transductive proxies), which a
     `scores.RankCState` carries across steps: each pick is one rank-C
-    update, and only E + P is factorized, once. The objective is the
-    k x k value of the chosen set.
+    update, and only E + P is factorized, once. Each step's changes are
+    `scores.logdet_gains`, the same call that gives the pool column, so
+    the first step ranks on eig_logdet/epig_logdet/jepig_logdet. The
+    objective is the k x k value of the chosen set.
     """
     pool = np.asarray(pool_xs, dtype=float)
     eval_term = _eval_term(s, objective, eval_xs)
@@ -112,25 +110,19 @@ def greedy_logdet(
         raise BatchTooLarge(f"k={k} from a pool of {n}")
     curv = s.curvatures(pool)
     p = s.posterior.precision
-    states = [RankCState(s.model, pool, curv, p.inverse())]
-    if eval_term is not None:
-        states.append(RankCState(s.model, pool, curv, (p + eval_term).inverse()))
+    q = RankCState(s.model, pool, curv, p.inverse())
+    r = None if eval_term is None else RankCState(s.model, pool, curv, (p + eval_term).inverse())
     chosen: list[int] = []
     gains: list[float] = []
     remaining = list(range(n))
     for _ in range(k):
-        cand_curv = curv[remaining]
-        change = candidate_logdet_ratios(cand_curv, states[0].proj[remaining])
-        if eval_term is None:
-            best = int(np.argmax(change))
-        else:
-            # logdet_ratio(E, q + F_n) - logdet_ratio(E, q), as in `logdet_changes`
-            change = candidate_logdet_ratios(cand_curv, states[1].proj[remaining]) - change
-            best = int(np.argmin(change))
+        change = logdet_gains(q, r, remaining)
+        best = int(np.argmax(change) if r is None else np.argmin(change))
         gains.append(float(change[best]))
         chosen.append(remaining.pop(best))
-        for state in states:
-            state.update(chosen[-1], 1.0)
+        for state in (q, r):
+            if state is not None:
+                state.update(chosen[-1], 1.0)
     return SelectionResult(
         indices=tuple(chosen),
         objective_value=_set_value(s, pool[chosen], eval_term),
@@ -153,8 +145,10 @@ def bait_forward_backward(
     A `scores.RankCState` carries q^-1 for q = P + F_batch and the stacks
     U_n^T q^-1 U_n and U_n^T q^-1 F_eval q^-1 U_n across steps, one rank-C
     update per pick (sign +1) or drop (sign -1). Every candidate's value
-    tr((q + s F_n)^-1 F_eval) then comes from the rank-C Woodbury identity
-    of `scores`. The objective is the k x k value of the chosen set.
+    tr((q + s F_n)^-1 F_eval) is then tr(q^-1 F_eval) plus its
+    `RankCState.trace_changes`, so the first step ranks on twice the
+    epig_trace pool column. The objective is the k x k value of the
+    chosen set.
     """
     pool = np.asarray(pool_xs, dtype=float)
     width = forward_multiplier * k
@@ -174,19 +168,16 @@ def bait_forward_backward(
         sign = 1.0 if adding else -1.0
         # BAIT ranks on tr(q^-1 F_eval) itself, twice the score's half.
         value = 2.0 * trace_ratio(eval_term, state.inverse)
-        values = value + 2.0 * candidate_trace_ratios(
-            curv[cands], state.proj[cands], state.sandwich[cands], sign
-        )
+        values = value + 2.0 * state.trace_changes(cands, sign)
         best = int(np.argmin(values))
         gains.append(float(values[best] - value))
         picked = cands.pop(best)
         if adding:
             chosen.append(picked)
         state.update(picked, sign)
-    q_inv = s.precision_with(pool[chosen]).inverse()
     return SelectionResult(
         indices=tuple(chosen),
-        objective_value=2.0 * trace_ratio(eval_term, q_inv),
+        objective_value=2.0 * transductive_score(s, pool[chosen], eval_term).trace,
         method="bait",
         gains=tuple(gains),
     )

@@ -1,17 +1,21 @@
 """Batched paths against the per-candidate and per-row loops they replaced.
 
-Pool scores, greedy log-det selection and BAIT evaluate every candidate
-through `candidate_projection` and the C x C Sylvester/Woodbury identities.
-Their oracles are the per-candidate loops those paths replaced: one or
-two k x k Cholesky factorizations per candidate (and per step). Values must
+Pool scores, greedy log-det selection and BAIT read every candidate's
+change from one engine, `scores.RankCState`: its `logdet_changes` and
+`trace_changes` are the C x C Sylvester/Woodbury identities on the
+`candidate_projection` stacks it holds, and a pool column is step 0 of
+greedy or BAIT on the same state. Their oracles are the per-candidate
+loops those paths replaced: one or two k x k Cholesky factorizations per
+candidate (and per step). Values must
 agree to 1e-10 relative to the k x k quantities the oracle subtracts; picks
 must agree except at a near tie (relative gap < 1e-9 in the oracle's own
 values), after which the two trajectories may part.
 
-Greedy and BAIT carry q^-1 and the candidate stacks across steps
-(`scores.RankCState`). After every update, the carried arrays are held to
+Greedy and BAIT carry q^-1 and the candidate stacks across steps in
+`RankCState.update`. After every update, the carried arrays are held to
 a fresh inverse and fresh `candidate_projection`s to 1e-10 relative, and
-the selections to the loops that refactorized q at every step.
+the selections to the loops that refactorized q and built a fresh
+`RankCState` at every step.
 
 The score columns built in one array pass (sampled labels, data matrices,
 `eig_logdet_sim`, `egl`, `grand`, the Monte Carlo BALD/EPIG pass) are held
@@ -28,6 +32,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoselect import prediction
 from infoselect import scores as scores_module
 from infoselect.dataio import gen_synthetic
 from infoselect.errors import NotPositiveDefinite
@@ -52,15 +57,13 @@ from infoselect.prediction import (
 from infoselect.scores import (
     RankCState,
     Scorer,
-    candidate_logdet_ratios,
-    candidate_trace_ratios,
     egl_pool_scores,
     eig_pool_scores,
     epig_pool_scores,
     eval_fisher,
     grand_pool_scores,
     jepig_pool_scores,
-    logdet_changes,
+    logdet_gains,
     logdet_ratio,
     trace_ratio,
 )
@@ -279,11 +282,9 @@ def test_removing_members_matches_oracle(seed, categorical, few_rows, structure,
     q = s.precision_with(members)
     q_factor, q_inv = q.factor(), q.inverse()
     eval_term = eval_fisher(s, evals, "mean")
-    curv = s.curvatures(members)
-    proj = candidate_projection(s.model, members, q_inv)
-    sandwich = candidate_projection(s.model, members, q_inv @ eval_term @ q_inv)
-    got_ld = candidate_logdet_ratios(curv, proj, -1.0)
-    got_tr = candidate_trace_ratios(curv, proj, sandwich, -1.0)
+    state = RankCState(s.model, members, s.curvatures(members), q_inv, eval_term)
+    got_ld = state.logdet_changes(sign=-1.0)
+    got_tr = state.trace_changes(sign=-1.0)
     for x, ld, tr in zip(members, got_ld, got_tr):
         down = q.values - fisher_information(s.model, x).values
         down_factor, _ = _cholesky_jittered(down)
@@ -299,13 +300,12 @@ def test_indefinite_update_raises():
     model = GlmModel(Head.gaussian(), np.zeros((2, 1)))
     s = Scorer(model, GaussianPosterior(np.zeros(2), PsdMatrix.identity(2), 1.0))
     x = np.array([[2.0, 0.0], [0.5, 0.0]])
-    curv = s.curvatures(x)
-    proj = candidate_projection(model, x, np.eye(2))
+    state = RankCState(model, x, s.curvatures(x), np.eye(2), np.eye(2))
     with pytest.raises(NotPositiveDefinite, match="candidate 0"):
-        candidate_logdet_ratios(curv, proj, -1.0)
+        state.logdet_changes(sign=-1.0)
     with pytest.raises(NotPositiveDefinite):
-        candidate_trace_ratios(curv, proj, proj, -1.0)
-    kept = candidate_logdet_ratios(curv[1:], proj[1:], -1.0)
+        state.trace_changes(sign=-1.0)
+    kept = state.logdet_changes([1], -1.0)
     assert kept[0] == pytest.approx(0.5 * np.log(1.0 - 0.25), rel=1e-14)
 
 
@@ -367,8 +367,13 @@ def refactorized_greedy(s, pool, k, objective, eval_xs):
     remaining = list(range(len(pool)))
     for _ in range(k):
         q = s.precision_with(pool[chosen])
-        r = None if eval_term is None else q + eval_term
-        change = logdet_changes(s, pool[remaining], q, r)
+        rows = pool[remaining]
+        curv = s.curvatures(rows)
+        q_state = RankCState(s.model, rows, curv, q.inverse())
+        r_state = None if eval_term is None else RankCState(
+            s.model, rows, curv, (q + eval_term).inverse()
+        )
+        change = logdet_gains(q_state, r_state)
         best = int(np.argmax(change) if eval_term is None else np.argmin(change))
         steps.append(dict(zip(remaining, change)))
         gains.append(float(change[best]))
@@ -388,13 +393,8 @@ def refactorized_bait(s, pool, k, eval_xs, forward_multiplier=2):
         cands = remaining if adding else chosen
         q_inv = s.precision_with(pool[chosen]).inverse()
         value = 2.0 * trace_ratio(eval_term, q_inv)
-        rows = pool[cands]
-        values = value + 2.0 * candidate_trace_ratios(
-            curv[cands],
-            candidate_projection(s.model, rows, q_inv),
-            candidate_projection(s.model, rows, q_inv @ eval_term @ q_inv),
-            1.0 if adding else -1.0,
-        )
+        fresh = RankCState(s.model, pool[cands], curv[cands], q_inv, eval_term)
+        values = value + 2.0 * fresh.trace_changes(sign=1.0 if adding else -1.0)
         best = int(np.argmin(values))
         steps.append(dict(zip(cands, values)))
         gains.append(float(values[best] - value))
@@ -663,10 +663,11 @@ def test_mc_pass_matches_per_point_estimators(logit_scale):
     evals = 5.0 * rng.standard_normal((3, d))
     if logit_scale == 60.0:
         assert np.any(predictive_probs(samples, head, pool) == 0.0)
-    bald, epig = mc_pool_scores(samples, head, pool, evals, chunk=4)
+    with mock.patch.object(prediction, "MC_CHUNK", 4):
+        bald, epig = mc_pool_scores(samples, head, pool, evals)
+        only_bald, none = mc_pool_scores(samples, head, pool)
     assert np.all(np.isfinite(bald)) and np.all(np.isfinite(epig))
     assert_close(bald, [bald_mc(samples, head, x) for x in pool], np.log(c))
     assert_close(epig, [epig_mc(samples, head, x, evals) for x in pool], 2 * np.log(c))
-    only_bald, none = mc_pool_scores(samples, head, pool, chunk=4)
     assert none is None
     np.testing.assert_array_equal(only_bald, bald)

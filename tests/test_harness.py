@@ -641,6 +641,9 @@ def test_cli_config_and_io_errors_exit_one(tmp_path, capsys):
         ["score", "--classes", "2", "--class-sep", "1e308", *small],
         ["select", "--seed", "-1", *small],
         ["select", "--method", "random", "--batch-size", "30", *small],
+        # sizes that numpy refuses to allocate at once, never touching memory
+        ["score", "--mc-samples", str(10**15), *small],
+        ["train", "--n", str(10**15)],
     ):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -10,15 +12,15 @@ from infoselect.errors import (
     TooFewSamples,
     TooManyConfigurations,
 )
+from infoselect import prediction
 from infoselect.glm import Head
 from infoselect.prediction import (
     PosteriorSamples,
     bald_mc,
-    bald_mc_pool,
     draw_posterior_samples,
     epig_mc,
-    epig_mc_pool,
     joint_eig_exact,
+    mc_pool_scores,
     predictive_probs,
     spearman,
 )
@@ -67,7 +69,7 @@ def test_bald_pool_matches_single_point_calls():
     _, model, post, _ = fitted_setup(seed=2, n=40, d=3, c=3)
     samples = draw_posterior_samples(post, 100, seed=5)
     xs = np.random.default_rng(6).standard_normal((7, 3))
-    pooled = bald_mc_pool(samples, model.head, xs)
+    pooled = mc_pool_scores(samples, model.head, xs)[0]
     singles = [bald_mc(samples, model.head, x) for x in xs]
     np.testing.assert_allclose(pooled, singles, atol=1e-12)
 
@@ -77,7 +79,7 @@ def test_bald_requires_two_samples():
     with pytest.raises(TooFewSamples):
         bald_mc(one, HEAD2, X1)
     with pytest.raises(TooFewSamples):
-        bald_mc_pool(one, HEAD2, X1[None, :])
+        mc_pool_scores(one, HEAD2, X1[None, :])
 
 
 def test_predictive_probs_against_manual_softmax():
@@ -189,7 +191,8 @@ def test_epig_pool_matches_single_point_calls():
     rng = np.random.default_rng(15)
     pool = rng.standard_normal((5, 3))
     eval_xs = rng.standard_normal((3, 3))
-    pooled = epig_mc_pool(samples, model.head, pool, eval_xs, chunk=2)
+    with mock.patch.object(prediction, "MC_CHUNK", 2):
+        pooled = mc_pool_scores(samples, model.head, pool, eval_xs)[1]
     singles = [epig_mc(samples, model.head, x, eval_xs) for x in pool]
     np.testing.assert_allclose(pooled, singles, atol=1e-12)
 
@@ -198,7 +201,7 @@ def test_epig_input_checks():
     with pytest.raises(EmptyEvalSet):
         epig_mc(OPPOSED, HEAD2, X1, np.zeros((0, 1)))
     with pytest.raises(EmptyEvalSet):
-        epig_mc_pool(OPPOSED, HEAD2, X1[None, :], np.zeros((0, 1)))
+        mc_pool_scores(OPPOSED, HEAD2, X1[None, :], np.zeros((0, 1)))
     one = PosteriorSamples(np.zeros((1, 2)), seed=0)
     with pytest.raises(TooFewSamples):
         epig_mc(one, HEAD2, X1, X1[None, :])

@@ -8,7 +8,14 @@ from infoselect.errors import BatchTooLarge, EmptyEvalSet, TooManySubsets
 from infoselect.glm import GlmModel, Head, fisher_batch, fisher_information
 from infoselect.linalg import PsdMatrix
 from infoselect.posterior import GaussianPosterior
-from infoselect.scores import Scorer, eig_score
+from infoselect.scores import (
+    Scorer,
+    eig_score,
+    epig_pool_scores,
+    epig_score,
+    jepig_pool_scores,
+    jepig_score,
+)
 from infoselect.selection import (
     SelectionResult,
     badge_kmeanspp,
@@ -81,6 +88,7 @@ def test_selection_result_rejects_duplicates():
 
 
 def test_greedy_first_pick_equals_top_singleton():
+    # a pool column is step 0 of selection on the same objective
     rng = np.random.default_rng(1)
     s = weak_prior_scorer()
     pool = rng.standard_normal((7, 3))
@@ -88,6 +96,25 @@ def test_greedy_first_pick_equals_top_singleton():
     got = greedy_logdet(s, pool, 1, "eig")
     assert got.indices == top_k(singles, 1).indices
     assert got.objective_value == pytest.approx(max(singles), abs=1e-12)
+
+    evals = rng.standard_normal((4, 3))
+    none = np.zeros((0, 3))
+    for objective, pool_scores, score in (
+        ("epig", epig_pool_scores, epig_score),
+        ("jepig", jepig_pool_scores, jepig_score),
+    ):
+        column, _ = pool_scores(s, pool, evals)
+        got = greedy_logdet(s, pool, 1, objective, evals)
+        assert got.indices == (int(np.argmin(column)),)
+        empty = score(s, none, evals).logdet
+        assert got.gains[0] == pytest.approx(column.min() - empty, abs=1e-12)
+
+    # k = 1 at multiplier 1 is a single forward step, with no drops
+    _, column = epig_pool_scores(s, pool, evals)
+    got = bait_forward_backward(s, pool, 1, evals, forward_multiplier=1)
+    assert got.indices == (int(np.argmin(column)),)
+    empty = epig_score(s, none, evals).trace
+    assert got.gains[0] == pytest.approx(2.0 * (column.min() - empty), abs=1e-12)
 
 
 def test_greedy_suppresses_duplicate_candidates():
