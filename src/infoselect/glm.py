@@ -10,6 +10,9 @@ the Kronecker form d2A(z) (x) x x^T, where d2A is the C x C Hessian of the
 head's log normalizer at the current logits. Because that curvature does not
 depend on the observed label, the observed information equals the Fisher
 information at the same weights for any label choice.
+
+Logits become probabilities by one rule, `_softmax` (max-shift, exp,
+normalize; no clamp); hard labels are the argmax of the logits.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from .errors import (
     NonFiniteInput,
 )
 from .linalg import PsdMatrix, solve_psd
-
-# Predictive probabilities are clamped to this band before any log.
-PROB_FLOOR = 1e-12
 
 GAUSSIAN = "gaussian"
 CATEGORICAL = "categorical"
@@ -51,6 +51,14 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     at_top = z == top
     rest = np.sum(np.exp(z - top), axis=-1, keepdims=True, where=~at_top)
     return top + np.log1p(rest + (np.sum(at_top, axis=-1, keepdims=True) - 1))
+
+
+def _softmax(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(z - max z) normalized over axis, written to out (out=z overwrites z)."""
+    probs = np.subtract(z, np.max(z, axis=axis, keepdims=True), out=out)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=axis, keepdims=True)
+    return probs
 
 
 @dataclass(frozen=True)
@@ -132,14 +140,11 @@ class Head:
     def predictive(self, logits: np.ndarray) -> np.ndarray:
         """Predictive distribution parameters at the given logits.
 
-        Categorical: softmax probabilities clamped away from 0 and 1.
-        Gaussian: the mean (the logit itself).
+        Categorical: the softmax over the last axis. Gaussian: the mean (the
+        logit itself).
         """
         z = np.asarray(logits, dtype=float)
-        if self.kind == GAUSSIAN:
-            return z
-        probs = np.exp(z - _logsumexp(z))
-        return np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        return z if self.kind == GAUSSIAN else _softmax(z)
 
     def curvature(self, logits: np.ndarray) -> np.ndarray:
         """C x C Hessian of the log normalizer at the given logits.
@@ -151,7 +156,11 @@ class Head:
         if self.kind == GAUSSIAN:
             return np.ones(z.shape[:-1] + (1, 1))
         pi = self.predictive(z)[..., :, None]
-        return pi * np.eye(self.num_outputs) - pi * np.swapaxes(pi, -1, -2)
+        eye = np.eye(self.num_outputs)
+        # pi_c (1 - pi_c) as the sum of pi_c pi_j over j != c: exact when pi_c
+        # rounds to 1, so rows sum to 0 and Lambda is PSD at any logit scale
+        off = (eye - 1.0) * pi * np.swapaxes(pi, -1, -2)
+        return off - eye * off.sum(axis=-1, keepdims=True)
 
     def validate_labels(self, labels) -> np.ndarray:
         """Check labels against the head; returns them as a vector.
@@ -170,7 +179,7 @@ class Head:
             if self.kind == GAUSSIAN:
                 raise LabelOutOfRange(f"gaussian label must be finite, got {bad}")
             raise LabelOutOfRange(
-                f"label {bad!r} outside [0, {self.num_outputs}) for categorical head"
+                f"label {bad} outside [0, {self.num_outputs}) for categorical head"
             )
         return y if self.kind == GAUSSIAN else y.astype(np.int64)
 
@@ -181,14 +190,12 @@ class Head:
     def residual(self, logits: np.ndarray, labels) -> np.ndarray:
         """Gradient of the nll in the logits: pi(z) - e_y, or z - y (Gaussian).
 
-        pi is the clamped predictive. Leading axes of logits (..., C) are
+        pi is the softmax predictive. Leading axes of logits (..., C) are
         batch axes matched by labels (...); labels must already be valid.
         """
-        z = np.asarray(logits, dtype=float)
         y = np.asarray(labels)[..., None]
-        if self.kind == GAUSSIAN:
-            return z - y
-        return self.predictive(z) - (np.arange(self.num_outputs) == y)
+        target = y if self.kind == GAUSSIAN else np.arange(self.num_outputs) == y
+        return self.predictive(logits) - target
 
     def label_draws(self, rng: np.random.Generator, size=None):
         """The variates labels_from_draws turns into labels.
@@ -201,15 +208,14 @@ class Head:
     def labels_from_draws(self, logits: np.ndarray, draws) -> np.ndarray:
         """Labels from the predictive at logits (..., C), one per draw (...).
 
-        Gaussian: z + draw. Categorical: inverse CDF, the number of entries
-        of the normalized cumulative predictive at or below the uniform draw.
+        Gaussian: z + draw. Categorical: inverse CDF as rng.choice takes it,
+        the count of entries of cumsum(pi) / cumsum(pi)[-1] at or below the draw.
         """
         z = np.asarray(logits, dtype=float)
         u = np.asarray(draws, dtype=float)
         if self.kind == GAUSSIAN:
             return z[..., 0] + u
-        pi = self.predictive(z)
-        cdf = np.cumsum(pi / pi.sum(axis=-1, keepdims=True), axis=-1)
+        cdf = np.cumsum(self.predictive(z), axis=-1)
         cdf /= cdf[..., -1:]
         return (cdf <= u[..., None]).sum(axis=-1)
 

@@ -45,7 +45,7 @@ from .selection import (
     random_batch,
     top_k,
 )
-from .similarity import HARD, build_data_matrix, eig_via_similarity_pool
+from .similarity import HARD, JacobianDataMatrix, build_data_matrix, eig_via_similarity_pool
 
 # Stage offsets added to the master seed. Each pipeline stage draws from
 # its own stream, so enlarging one stage's consumption (more MC samples,
@@ -164,6 +164,13 @@ def _top_k(name: str):
     return select
 
 
+def _badge(run, k, seed):
+    """badge_kmeanspp on the pool's hard-label gradients (no rows from an empty pool)."""
+    g = (build_data_matrix(run.scorer.model, Dataset(run.pool), HARD) if len(run.pool)
+         else JacobianDataMatrix(np.empty((0, run.scorer.num_weights)), HARD))
+    return badge_kmeanspp(g, k, seed=seed)
+
+
 # The one list of selectors: select(run, k, seed) -> SelectionResult, with
 # seed the selection stage's stream; top_k_<score> ranks one score column.
 SELECTORS = {
@@ -174,8 +181,7 @@ SELECTORS = {
     },
     "bait": lambda run, k, seed: bait_forward_backward(
         run.scorer, run.pool, k, run.eval_xs),
-    "badge": lambda run, k, seed: badge_kmeanspp(
-        build_data_matrix(run.scorer.model, Dataset(run.pool), HARD), k, seed=seed),
+    "badge": _badge,
     "random": lambda run, k, seed: random_batch(run.pool.shape[0], k, seed),
     **{f"top_k_{name}": _top_k(name) for name in SCORE_METHODS},
 }

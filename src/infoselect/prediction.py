@@ -26,7 +26,7 @@ from .errors import (
     TooManyConfigurations,
     UnsupportedHead,
 )
-from .glm import CATEGORICAL, Head
+from .glm import CATEGORICAL, Head, _softmax
 from .posterior import GaussianPosterior, sample_weights
 
 JOINT_CONFIG_BUDGET = 10**5
@@ -82,15 +82,13 @@ def _probs_by_draw(samples: PosteriorSamples, head: Head, xs) -> np.ndarray:
 
     The logits are one BLAS product: row s C + c of the reshaped draws is
     the weight vector of class c under draw s. Sums over classes then run
-    along a middle axis, which numpy vectorizes over the points.
+    along a middle axis, which numpy vectorizes over the points. The
+    softmax overwrites the fresh logits, so the block is allocated once.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     s, c, d = samples.n_samples, head.num_outputs, xs.shape[1]
     logits = (samples.weights.reshape(s * c, d) @ xs.T).reshape(s, c, -1)
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits, out=logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    return _softmax(logits, axis=1, out=logits)
 
 
 def _entropy(p: np.ndarray, axis=-1) -> np.ndarray:

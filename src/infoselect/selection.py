@@ -196,7 +196,7 @@ def badge_kmeanspp(g: JacobianDataMatrix, k: int, seed: int) -> SelectionResult:
     rows = g.rows
     n = rows.shape[0]
     if k > n:
-        raise BatchTooLarge(f"k={k} from {n} rows")
+        raise BatchTooLarge(f"k={k} from a pool of {n}")
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
     gains: list[float] = []

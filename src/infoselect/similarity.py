@@ -106,7 +106,8 @@ def build_data_matrix(
 ) -> JacobianDataMatrix:
     """Stack loss gradients for every row of `data` under a label rule.
 
-    hard: argmax of the predictive distribution, lowest class on ties.
+    hard: argmax of the logits (the mode of the predictive), lowest class
+        on ties; the Gaussian head's mean.
     sampled: one label drawn from the predictive per row (deterministic in
         seed). `repeats` > 1 emits that many independently sampled rows per
         data point, grouped consecutively; it exists for bias studies and
@@ -121,10 +122,8 @@ def build_data_matrix(
         raise ValueError("repeats only applies to sampled labels")
     head = model.head
     z = data.features @ model.weights
-    if label_mode == HARD and head.kind == GAUSSIAN:
-        labels = z[:, 0]
-    elif label_mode == HARD:
-        labels = np.argmax(head.predictive(z), axis=1)
+    if label_mode == HARD:
+        labels = z[:, 0] if head.kind == GAUSSIAN else np.argmax(z, axis=1)
     elif label_mode == SAMPLED:
         z = np.repeat(z, repeats, axis=0)
         draws = head.label_draws(np.random.default_rng(seed), z.shape[0])
@@ -166,12 +165,7 @@ def gram(g: JacobianDataMatrix) -> SimilarityMatrix:
 
 def gram_weighted(g: JacobianDataMatrix, precision) -> SimilarityMatrix:
     """Precision-weighted similarity G P^-1 G^T."""
-    p = as_psd(precision)
-    if p.dim != g.num_weights:
-        raise DimensionMismatch(
-            f"precision dim {p.dim} against data matrix over {g.num_weights} weights"
-        )
-    return SimilarityMatrix(g.rows @ solve_psd(p, g.rows.T), PRECISION_WEIGHTED)
+    return SimilarityMatrix(cross(g, g, precision), PRECISION_WEIGHTED)
 
 
 def cross(
@@ -243,10 +237,6 @@ def eig_uninformative_limit(g_acq: JacobianDataMatrix) -> float:
     return 0.5 * chol_logdet(s)
 
 
-def _weighted_block(rows: np.ndarray, precision) -> np.ndarray:
-    return rows @ solve_psd(as_psd(precision), rows.T)
-
-
 def epig_via_similarity(
     g_acq: JacobianDataMatrix, g_eval: JacobianDataMatrix, precision
 ) -> float:
@@ -260,10 +250,10 @@ def epig_via_similarity(
     """
     _check_k(g_acq, g_eval)
     p = as_psd(precision)
-    stacked = np.vstack([g_acq.rows, g_eval.rows])
-    t_eval = chol_logdet(_weighted_block(g_eval.rows, p) + np.eye(g_eval.n))
-    t_joint = chol_logdet(_weighted_block(stacked, p) + np.eye(stacked.shape[0]))
-    t_acq = chol_logdet(_weighted_block(g_acq.rows, p) + np.eye(g_acq.n))
+    stacked = JacobianDataMatrix(np.vstack([g_acq.rows, g_eval.rows]), g_acq.label_mode)
+    t_eval = chol_logdet(cross(g_eval, g_eval, p) + np.eye(g_eval.n))
+    t_joint = chol_logdet(cross(stacked, stacked, p) + np.eye(stacked.n))
+    t_acq = chol_logdet(cross(g_acq, g_acq, p) + np.eye(g_acq.n))
     return 0.5 * (t_eval - t_joint + t_acq)
 
 

@@ -570,6 +570,19 @@ def test_cli_train_end_to_end(tmp_path, capsys):
     assert str(tmp_path / "model.json") in capsys.readouterr().out
 
 
+def test_cli_badge_on_an_empty_pool_picks_nothing(tmp_path, capsys):
+    # k=0 from an empty pool is an empty batch, as for every other selector
+    empty_pool = ["--n", "120", "--dim", "3", "--pool-size", "0", "--eval-size", "10",
+                  "--method", "badge", "--batch-size", "0", "--out", str(tmp_path)]
+    assert cli.main(["select", *empty_pool]) == 0
+    doc = json.loads((tmp_path / "select.json").read_text())
+    assert doc["method"] == "badge" and doc["indices"] == [] and doc["gains"] == []
+    assert cli.main(["simulate", "--rounds", "1", *empty_pool]) == 0
+    rows = (tmp_path / "simulate.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in rows[1:3]] == [["badge", "0", "80"], ["badge", "1", "80"]]
+    capsys.readouterr()
+
+
 def test_cli_flags_reach_the_config(tmp_path, monkeypatch, capsys):
     seen = {}
 
@@ -648,6 +661,26 @@ def test_cli_config_and_io_errors_exit_one(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "error" in err
+
+    # badge, like every selector, cannot take k=1 from an empty pool
+    empty_pool = ["--n", "120", "--dim", "3", "--pool-size", "0", "--eval-size", "10"]
+    assert cli.main(["select", "--method", "badge", "--batch-size", "1", *empty_pool,
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["infoselect select: error: select badge: k=1 from a pool of 0"]
+
+    # a label outside the classes is named by its plain value
+    for bad in ("2", "0.5"):
+        rows = [f"{0.1 * i},{1.0 - 0.05 * i},{i % 2}" for i in range(8)]
+        rows[3] = f"0.3,0.2,{bad}"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("f0,f1,y\n" + "\n".join(rows) + "\n")
+        argv = ["train", "--data", str(labels), "--classes", "2", "--train-size", "8",
+                "--pool-size", "0", "--eval-size", "0", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"infoselect train: error: fit: label {bad} outside [0, 2) for categorical head"
+        ]
 
     # an infinite lambda or class_sep is an input error naming the field,
     # not a numerical failure further down

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_psd, random_spd
 from infoselect.errors import DimensionMismatch, NonFiniteMatrix, NotPositiveDefinite
-from infoselect.glm import PROB_FLOOR, Head, _logsumexp
+from infoselect.glm import Head, _logsumexp
 from infoselect.linalg import (
     INVERSE_BLOCK,
     JITTER_MULTIPLIERS,
@@ -348,14 +348,27 @@ def test_logsumexp_matches_scipy_property(seed, classes, scale, ties):
 
 
 def test_predictive_at_logit_scale_60_matches_scipy_form():
-    # at this scale most softmax entries underflow and meet the clamp;
-    # pins the current rule: clamp to [PROB_FLOOR, 1 - PROB_FLOOR], no
-    # renormalization
+    # the predictive is scipy's softmax bit for bit, with no clamp: entries
+    # far below 1e-12 keep their value and a gap of 800 underflows to 0
     rng = np.random.default_rng(60)
     z = 60.0 * rng.standard_normal((50, 6))
+    z[0] = [800.0, 0.0, -5.0, 3.0, 0.0, 1.0]
     got = Head.categorical(6).predictive(z)
-    raw = np.exp(z - scipy.special.logsumexp(z, axis=-1, keepdims=True))
-    want = np.clip(raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
-    assert np.any(raw < PROB_FLOOR) and np.any(raw > 1.0 - PROB_FLOOR)
-    assert np.all((got >= PROB_FLOOR) & (got <= 1.0 - PROB_FLOOR))
+    want = scipy.special.softmax(z, axis=-1)
+    np.testing.assert_array_equal(got, want)
+    assert np.any((got > 0.0) & (got < 1e-100))
+    np.testing.assert_array_equal(got[0], np.eye(6)[0])
+    assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= 1e-15
+
+
+def test_curvature_rows_sum_to_zero_at_logit_scale_60():
+    # Lambda = diag(pi) - pi pi^T annihilates the ones vector; a clamp that
+    # does not renormalize leaves rows summing to ~1e-12. Where pi_c rounds
+    # to 1, pi_c - pi_c^2 would be 0 beside off-diagonals of ~1e-20 and
+    # Lambda indefinite: each one must stay PSD against its own size.
+    rng = np.random.default_rng(60)
+    z = 60.0 * rng.standard_normal((50, 6))
+    lam = Head.categorical(6).curvature(z)
+    assert np.max(np.abs(lam.sum(axis=-1))) <= 1e-15
+    size = np.max(np.abs(lam), axis=(1, 2))
+    assert np.all(np.linalg.eigvalsh(lam)[:, 0] >= -1e-12 * size)
