@@ -6,10 +6,10 @@ the reference the weight-space approximations are correlated against.
 Label configurations are always enumerated exactly (up to a guard), never
 sampled. Entropies are in nats.
 
-Pool scoring is one chunked pass (`mc_pool_scores`): the logits of a chunk
-of pool rows under all S draws are one matrix product, and the chunk's
-probabilities, laid out (S, C, chunk), give both its BALD and its EPIG
-values, so no whole-pool probability tensor is ever held.
+Pool scoring is one chunked pass (`mc_pool_scores`), so no whole-pool
+probability tensor is ever held: a chunk's logits under all S draws are one
+matrix product, its (S, C, chunk) probabilities give its BALD values, and
+one more product the (C-1)^2 free entries of each of its EPIG joints.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .posterior import GaussianPosterior, sample_weights
 JOINT_CONFIG_BUDGET = 10**5
 
 # Pool rows per chunk of the MC pass: the chunk's probabilities and its
-# (eval * C, chunk * C) joint block stay a few MB at the CLI defaults.
+# (chunk * (C-1), eval * (C-1)) joint block stay a few MB at the CLI defaults.
 MC_CHUNK = 64
 
 _TINY = np.finfo(float).tiny
@@ -177,10 +177,12 @@ def mc_pool_scores(
     """bald_mc and epig_mc of every pool row in one chunked pass.
 
     Returns (bald, epig); epig is None when eval_xs is None. The eval
-    predictives are computed once; each chunk of MC_CHUNK pool rows is
-    turned into probabilities once, and its joint block with the eval
-    points, mean_s pi_e[s, ce] pi_a[s, ca] for every (e, ce, a, ca), is a
-    single matrix product.
+    predictives are computed once, each chunk's probabilities once. Each
+    (e, a) joint J[ce, ca] = mean_s pi_e[s, ce] pi_a[s, ca] sums to the
+    marginals along its rows and columns, so one product of strided views
+    forms its entries with ce, ca < C - 1 and the marginals give the rest.
+    Nothing is clamped: a rebuilt 0 may round to ~-C eps, which _entropy
+    counts as ~700 C eps, so epig stays within ~1e-12 of the full table's.
     """
     _require_categorical(model_head)
     if samples.n_samples < 2:
@@ -195,22 +197,27 @@ def mc_pool_scores(
             raise EmptyEvalSet("epig needs at least one eval point")
         m = eval_arr.shape[0]
         probs_eval = _probs_by_draw(samples, model_head, eval_arr)
-        # Row ce m + e of eval_flat holds pi_e[:, ce] over the draws.
-        eval_flat = probs_eval.reshape(s, c * m).T
-        h_eval = _entropy(probs_eval.mean(axis=0), axis=0)
+        marg_eval = probs_eval.mean(axis=0)
+        h_eval = _entropy(marg_eval, axis=0)
+        eval_free = probs_eval[:, : c - 1].reshape(s, -1)
         epig = np.empty(n)
 
     for start in range(0, n, MC_CHUNK):
         stop = min(start + MC_CHUNK, n)
         probs = _probs_by_draw(samples, model_head, pool[start:stop])
-        h_acq = _entropy(probs.mean(axis=0), axis=0)
+        marg_acq = probs.mean(axis=0)
+        h_acq = _entropy(marg_acq, axis=0)
         bald[start:stop] = h_acq - _entropy(probs, axis=1).mean(axis=0)
         if epig is not None:
-            # joint[(ce, e), (ca, a)] = mean_s pi_e[s, ce] pi_a[s, ca]
-            joint = eval_flat @ probs.reshape(s, c * (stop - start))
-            joint /= s
-            h_joint = _entropy(joint.reshape(c, m, c, stop - start), axis=(0, 2))
-            epig[start:stop] = (h_eval[:, None] + h_acq[None, :] - h_joint).mean(axis=0)
+            # free[ca, a, ce, e] = J[ce, ca] of (e, a), for ca, ce < C - 1
+            free = (probs[:, : c - 1].reshape(s, -1).T @ eval_free).reshape(c - 1, -1, c - 1, m)
+            free /= s
+            last_eval = marg_acq[: c - 1, :, None] - free.sum(axis=2)
+            last_acq = marg_eval[: c - 1] - free.sum(axis=0)
+            corner = marg_eval[c - 1] - last_eval.sum(axis=0)
+            h_joint = _entropy(free, axis=(0, 2)) + _entropy(last_eval, axis=0)
+            h_joint += _entropy(last_acq, axis=1) + _entropy(corner[None], axis=0)
+            epig[start:stop] = (h_eval[None, :] + h_acq[:, None] - h_joint).mean(axis=1)
     return np.maximum(0.0, bald), epig
 
 

@@ -175,6 +175,11 @@ class RankCState:
         """trace_ratio(F_n, A^-1) = 1/2 tr(L_n S_n) for every row."""
         return 0.5 * np.trace(self.curv @ self.proj, axis1=-2, axis2=-1)
 
+    def keep(self, rows):
+        """Carry only the given rows from here on; row i is old row rows[i]."""
+        self.xs, self.curv, self.proj = self.xs[rows], self.curv[rows], self.proj[rows]
+        self.sandwich = None if self.sandwich is None else self.sandwich[rows]
+
     def update(self, b: int, sign: float):
         """Add (sign +1) or remove (sign -1) row b's Fisher term from A."""
         c, d = self.model.num_outputs, self.model.dim

@@ -121,7 +121,7 @@ def greedy_logdet(
         gains.append(float(change[best]))
         chosen.append(remaining.pop(best))
         for state in (q, r):
-            if state is not None:
+            if state is not None and len(chosen) < k:  # else the update goes unread
                 state.update(chosen[-1], 1.0)
     return SelectionResult(
         indices=tuple(chosen),
@@ -143,8 +143,8 @@ def bait_forward_backward(
     to the earliest pick when dropping.
 
     A `scores.RankCState` carries q^-1 for q = P + F_batch and the stacks
-    U_n^T q^-1 U_n and U_n^T q^-1 F_eval q^-1 U_n across steps, one rank-C
-    update per pick (sign +1) or drop (sign -1). Every candidate's value
+    U_n^T q^-1 U_n and U_n^T q^-1 F_eval q^-1 U_n (backward: of the forward
+    picks only), one rank-C update per pick (+1) or drop (-1). Each value
     tr((q + s F_n)^-1 F_eval) is then tr(q^-1 F_eval) plus its
     `RankCState.trace_changes`, so the first step ranks on twice the
     epig_trace pool column. The objective is the k x k value of the
@@ -161,20 +161,25 @@ def bait_forward_backward(
     state = RankCState(s.model, pool, curv, s.posterior.precision.inverse(), eval_term)
     chosen: list[int] = []
     gains: list[float] = []
-    remaining = list(range(pool.shape[0]))
+    rows = list(range(pool.shape[0]))  # the candidates' state rows
     for step in range(2 * width - k):
         adding = step < width
-        cands = remaining if adding else chosen
+        if step == width:  # only forward picks can be dropped; row i is chosen[i]
+            state.keep(chosen)
+            rows = list(range(width))
         sign = 1.0 if adding else -1.0
         # BAIT ranks on tr(q^-1 F_eval) itself, twice the score's half.
         value = 2.0 * trace_ratio(eval_term, state.inverse)
-        values = value + 2.0 * state.trace_changes(cands, sign)
+        values = value + 2.0 * state.trace_changes(rows, sign)
         best = int(np.argmin(values))
         gains.append(float(values[best] - value))
-        picked = cands.pop(best)
+        picked = rows.pop(best)
         if adding:
             chosen.append(picked)
-        state.update(picked, sign)
+        else:
+            chosen.pop(best)
+        if step + 1 < 2 * width - k:  # else the update goes unread
+            state.update(picked, sign)
     return SelectionResult(
         indices=tuple(chosen),
         objective_value=2.0 * transductive_score(s, pool[chosen], eval_term).trace,

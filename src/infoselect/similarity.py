@@ -243,18 +243,16 @@ def epig_via_similarity(
     """Transductive proxy assembled from three similarity log-dets.
 
     1/2 logdet(S_P[eval] + Id) - 1/2 logdet(S_P[acq, eval] + Id)
-    + 1/2 logdet(S_P[acq] + Id), with the joint block built from the
-    stacked rows. Equals the mutual information between the two row
-    blocks under the Gaussian weight prior, so it is nonnegative and
-    zero when the acquisition rows carry nothing about the eval rows.
+    + 1/2 logdet(S_P[acq] + Id); the joint block of the stacked rows holds
+    the other two as its diagonal blocks. Equals the mutual information
+    between the two row blocks under the Gaussian weight prior, so it is
+    nonnegative and zero when the acquisition rows carry nothing about them.
     """
     _check_k(g_acq, g_eval)
-    p = as_psd(precision)
     stacked = JacobianDataMatrix(np.vstack([g_acq.rows, g_eval.rows]), g_acq.label_mode)
-    t_eval = chol_logdet(cross(g_eval, g_eval, p) + np.eye(g_eval.n))
-    t_joint = chol_logdet(cross(stacked, stacked, p) + np.eye(stacked.n))
-    t_acq = chol_logdet(cross(g_acq, g_acq, p) + np.eye(g_acq.n))
-    return 0.5 * (t_eval - t_joint + t_acq)
+    joint = cross(stacked, stacked, precision) + np.eye(stacked.n)
+    a = g_acq.n
+    return 0.5 * (chol_logdet(joint[a:, a:]) - chol_logdet(joint) + chol_logdet(joint[:a, :a]))
 
 
 def logdet_mi(s_acq, s_eval, s_cross) -> float:

@@ -34,6 +34,17 @@ def test_numerical_failure_writes_one_stderr_line(tmp_path):
     ]
 
 
+def test_saturated_score_writes_nothing_to_stderr(tmp_path):
+    # at class separation 60 the predictives reach 0 and 1, where an EPIG
+    # joint entry rebuilt from the marginals may round slightly below 0;
+    # the entropies must take it without a warning
+    argv = ["score", "--classes", "2", "--class-sep", "60", *SMALL, "--out", "out"]
+    proc = run_python(["-m", "infoselect", *argv], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "scores.csv").exists()
+
+
 BLOCKED_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

@@ -409,8 +409,10 @@ def refactorized_bait(s, pool, k, eval_xs, forward_multiplier=2):
 def carried_states():
     """Log every RankCState update with copies of the arrays it leaves.
 
-    Yields {state: [(b, sign, inverse, proj, sandwich), ...]} in the order
-    the states first update, which is the order they were made.
+    Yields {state: [(b, sign, inverse, proj, sandwich, xs), ...]} in the
+    order the states first update, which is the order they were made. xs
+    holds the rows the state carries at that update (`keep` narrows them),
+    and b indexes them.
     """
     log = {}
     update = RankCState.update
@@ -419,14 +421,14 @@ def carried_states():
         update(self, b, sign)
         sandwich = None if self.sandwich is None else self.sandwich.copy()
         log.setdefault(self, []).append(
-            (b, sign, self.inverse.copy(), self.proj.copy(), sandwich)
+            (b, sign, self.inverse.copy(), self.proj.copy(), sandwich, self.xs.copy())
         )
 
     with mock.patch.object(RankCState, "update", spy):
         yield log
 
 
-def assert_carried_match_fresh(s, pool, log, bases, term=None):
+def assert_carried_match_fresh(s, log, bases, term=None):
     """Each logged state against a fresh inverse and fresh projections.
 
     bases holds each state's starting matrix A, in the order of the log;
@@ -436,18 +438,18 @@ def assert_carried_match_fresh(s, pool, log, bases, term=None):
     value can sit decades below them, where only that scale bounds rounding.
     """
     assert len(log) == len(bases)
-    sq_norms = np.sum(pool**2, axis=1)[:, None, None]
     for base, updates in zip(bases, log.values()):
         a = np.array(base, dtype=float)
-        for b, sign, inverse, proj, sandwich in updates:
-            a = a + sign * fisher_information(s.model, pool[b]).values
+        for b, sign, inverse, proj, sandwich, xs in updates:
+            sq_norms = np.sum(xs**2, axis=1)[:, None, None]
+            a = a + sign * fisher_information(s.model, xs[b]).values
             fresh = PsdMatrix(a).inverse()
             assert_close(inverse, fresh, np.max(np.abs(fresh)))
-            want = candidate_projection(s.model, pool, fresh)
+            want = candidate_projection(s.model, xs, fresh)
             assert_close(proj, want, sq_norms * np.linalg.norm(fresh, 2))
             if term is not None:
                 m = fresh @ term @ fresh
-                want = candidate_projection(s.model, pool, m)
+                want = candidate_projection(s.model, xs, m)
                 assert_close(sandwich, want, sq_norms * np.linalg.norm(m, 2))
 
 
@@ -464,8 +466,9 @@ def test_greedy_carried_state_matches_refactorized_steps(
     bases = [s._prec]
     if objective != "eig":
         bases.append(s._prec + _eval_term(s, objective, evals))
-    assert_carried_match_fresh(s, pool, log, bases)
-    assert all(len(updates) == k for updates in log.values())
+    # the last pick's update would go unread, so k picks make k - 1 updates
+    assert all(len(updates) == k - 1 for updates in log.values())
+    assert_carried_match_fresh(s, log, bases if k > 1 else [])
 
     want, want_value, want_gains, steps = refactorized_greedy(s, pool, k, objective, eval_xs)
     scale = 1.0 + 0.5 * abs(factor_logdet(s._prec_factor)) + abs(want_value)
@@ -491,11 +494,16 @@ def test_bait_carried_state_matches_refactorized_steps(
     with carried_states() as log:
         got = bait_forward_backward(s, pool, k, evals, forward_multiplier=multiplier)
     eval_term = eval_fisher(s, evals, "mean")
-    assert_carried_match_fresh(s, pool, log, [s._prec], eval_term)
-    (updates,) = log.values()
-    assert [sign for _, sign, *_ in updates] == [1.0] * (multiplier * k) + [-1.0] * (
-        (multiplier - 1) * k
-    )
+    width = multiplier * k
+    # every pick and drop updates the state but the last, whose result goes unread
+    signs = ([1.0] * width + [-1.0] * (width - k))[:-1]
+    assert_carried_match_fresh(s, log, [s._prec] if signs else [], eval_term)
+    updates = next(iter(log.values()), [])
+    assert [sign for _, sign, *_ in updates] == signs
+    forward = [b for b, *_ in updates[:width]]
+    for _, sign, *_, xs in updates:
+        if sign < 0:  # the backward pass carries the forward picks' rows only
+            np.testing.assert_array_equal(xs, pool[forward])
 
     want, want_value, want_gains, steps = refactorized_bait(s, pool, k, evals, multiplier)
     if assert_same_picks(got.indices, want, steps, -1.0):
@@ -517,14 +525,14 @@ def test_carried_state_does_not_drift_at_benchmark_shape():
         with carried_states() as log:
             got = greedy_logdet(s, pool, 10, objective, eval_xs)
         bases = [s._prec] if objective == "eig" else [s._prec, s._prec + eval_term]
-        assert_carried_match_fresh(s, pool, log, bases)
+        assert_carried_match_fresh(s, log, bases)
         want, want_value, want_gains, _ = refactorized_greedy(s, pool, 10, objective, eval_xs)
         assert list(got.indices) == want and got.objective_value == want_value
         assert_close(got.gains, want_gains, 1e-12 + np.max(np.abs(want_gains)))
     with carried_states() as log:
         got = bait_forward_backward(s, pool, 10, evals)
-    assert len(next(iter(log.values()))) == 30
-    assert_carried_match_fresh(s, pool, log, [s._prec], eval_term)
+    assert len(next(iter(log.values()))) == 29
+    assert_carried_match_fresh(s, log, [s._prec], eval_term)
     want, want_value, want_gains, _ = refactorized_bait(s, pool, 10, evals)
     assert list(got.indices) == want and got.objective_value == want_value
     assert_close(got.gains, want_gains, np.max(np.abs(want_gains)))
@@ -682,3 +690,31 @@ def test_mc_pass_matches_per_point_estimators(logit_scale):
     assert_close(epig, [epig_mc(samples, head, x, evals) for x in pool], 2 * np.log(c))
     assert none is None
     np.testing.assert_array_equal(only_bald, bald)
+
+
+@pytest.mark.parametrize("c", [2, 3, 10])
+@pytest.mark.parametrize("logit_scale", [0.0, 60.0])
+def test_mc_pass_joint_from_free_entries_matches_full_table(c, logit_scale):
+    # the joint's last row, last column and corner are marginals minus the
+    # product's (C-1)^2 entries: 10 pool rows in chunks of 4 (a short last
+    # chunk), one eval row, and eval rows that are pool rows. At logit
+    # scale 0 every probability is 1/C; at 60 some are exactly 0 and 1.
+    rng = np.random.default_rng(c)
+    d = 3
+    head = Head.categorical(c)
+    samples = PosteriorSamples(logit_scale * rng.standard_normal((40, c * d)), seed=0)
+    pool = 5.0 * rng.standard_normal((10, d))
+    probs = predictive_probs(samples, head, pool)
+    if logit_scale == 60.0:
+        assert np.any(probs == 0.0) and np.any(probs == 1.0)
+    else:
+        assert np.all(probs == 1.0 / c)
+    with mock.patch.object(prediction, "MC_CHUNK", 4):
+        only_bald, _ = mc_pool_scores(samples, head, pool)
+    for evals in (5.0 * rng.standard_normal((1, d)), pool[[0, 3, 9]], pool):
+        with mock.patch.object(prediction, "MC_CHUNK", 4):
+            bald, epig = mc_pool_scores(samples, head, pool, evals)
+        assert np.all(np.isfinite(epig))
+        want = [epig_mc(samples, head, x, evals) for x in pool]
+        assert_close(epig, want, 2 * np.log(c))
+        np.testing.assert_array_equal(only_bald, bald)

@@ -4,7 +4,7 @@ import pytest
 from conftest import fitted_setup, random_spd
 from infoselect.errors import DimensionMismatch, MissingLabels, SingularGram
 from infoselect.glm import Dataset, GlmModel, Head, fisher_information, score_jacobian
-from infoselect.linalg import PsdMatrix
+from infoselect.linalg import PsdMatrix, chol_logdet
 from infoselect.similarity import (
     GIVEN,
     HARD,
@@ -303,6 +303,22 @@ def test_epig_recomposes_from_eig_terms():
         got = epig_via_similarity(ga, ge, p)
         assert got == pytest.approx(want, abs=1e-9)
         assert got >= -1e-10
+
+
+def test_epig_diagonal_blocks_match_their_own_grams():
+    # the former form: acquisition, eval and joint Grams formed separately.
+    # Values round relative to the three log-dets the score subtracts.
+    rng = np.random.default_rng(35)
+    for n_acq, n_eval, k in ((1, 1, 5), (3, 4, 9), (6, 10, 12), (20, 30, 8)):
+        ga, ge = random_rows(rng, n_acq, k), random_rows(rng, n_eval, k)
+        p = PsdMatrix(random_spd(rng, k))
+        stacked = JacobianDataMatrix(np.vstack([ga.rows, ge.rows]), SAMPLED)
+        terms = [
+            chol_logdet(cross(g, g, p) + np.eye(g.n)) for g in (ge, stacked, ga)
+        ]
+        want = 0.5 * (terms[0] - terms[1] + terms[2])
+        got = epig_via_similarity(ga, ge, p)
+        assert abs(got - want) <= 1e-12 * (1.0 + sum(abs(v) for v in terms))
 
 
 def test_epig_flat_prior_terms_cancel_in_the_limit():
