@@ -73,7 +73,6 @@ from .scores import (
 )
 from .similarity import (
     JacobianDataMatrix,
-    SimilarityMatrix,
     build_data_matrix,
     cross,
     eig_uninformative,

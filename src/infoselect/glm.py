@@ -335,11 +335,11 @@ def observed_information(model: GlmModel, x, y=None) -> PsdMatrix:
 
 def fisher_information(model: GlmModel, x) -> PsdMatrix:
     """Fisher information d2A(z) (x) x x^T of the single input x."""
-    return fisher_batch(model, _check_features(model, x)[None, :])
+    return PsdMatrix(fisher_batch(model, _check_features(model, x)[None, :]))
 
 
-def fisher_batch(model: GlmModel, xs) -> PsdMatrix:
-    """Sum of per-sample Fisher information over the rows of xs.
+def fisher_batch(model: GlmModel, xs) -> np.ndarray:
+    """Sum of per-sample Fisher information over the rows of xs, a plain (k, k) array.
 
     This is the one place that forms sum_n d2A(z_n) (x) x_n x_n^T; every
     curvature in the package is built here.
@@ -347,15 +347,14 @@ def fisher_batch(model: GlmModel, xs) -> PsdMatrix:
     xs = np.asarray(xs, dtype=float)
     k = model.num_weights
     if xs.size == 0:
-        return PsdMatrix.zeros(k)
+        return np.zeros((k, k))
     if xs.ndim != 2 or xs.shape[1] != model.dim:
         raise DimensionMismatch(f"batch shape {xs.shape}, expected (n, {model.dim})")
     n, c, d = xs.shape[0], model.num_outputs, model.dim
     lams = model.head.curvature(xs @ model.weights).reshape(n, c * c)
     outers = (xs[:, :, None] * xs[:, None, :]).reshape(n, d * d)
     # One BLAS product sums over rows; entry (c1 c2, i j) moves to (c1 D + i, c2 D + j).
-    total = (lams.T @ outers).reshape(c, c, d, d).transpose(0, 2, 1, 3).reshape(k, k)
-    return PsdMatrix(total)
+    return (lams.T @ outers).reshape(c, c, d, d).transpose(0, 2, 1, 3).reshape(k, k)
 
 
 def candidate_projection(model: GlmModel, xs, a) -> np.ndarray:
@@ -410,7 +409,7 @@ def _map_gradient(model, data, lam):
 
 
 def _map_curvature(model, data, lam):
-    return fisher_batch(model, data.features).values + lam * np.eye(model.num_weights)
+    return fisher_batch(model, data.features) + lam * np.eye(model.num_weights)
 
 
 def map_fit(

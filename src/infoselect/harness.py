@@ -36,6 +36,7 @@ from .scores import (
     jepig_pool_scores,
 )
 from .selection import (
+    BAIT_FORWARD_MULTIPLIER,
     MAXIMIZE,
     MINIMIZE,
     SelectionResult,
@@ -420,6 +421,8 @@ class ScoreTable:
     def from_csv(cls, path) -> "ScoreTable":
         text = pathlib.Path(path).read_text(encoding="utf-8")
         lines = [ln for ln in text.splitlines() if ln]
+        if not lines:
+            raise ConfigError(f"score table {path}: file is empty")
         header = lines[0].split(",")
         if header[:1] != ["index"]:
             raise ConfigError(f"score table {path}: header must start with 'index'")
@@ -451,14 +454,17 @@ class ScoreTable:
     @classmethod
     def from_json(cls, path) -> "ScoreTable":
         doc = _read_json(path, "score table")
-        return cls(
-            indices=tuple(int(i) for i in doc["indices"]),
-            columns={
-                name: np.asarray(col, dtype=float)
-                for name, col in doc["columns"].items()
-            },
-            orientations=dict(doc["orientations"]),
-        )
+        try:
+            return cls(
+                indices=tuple(int(i) for i in doc["indices"]),
+                columns={
+                    name: np.asarray(col, dtype=float)
+                    for name, col in doc["columns"].items()
+                },
+                orientations=dict(doc["orientations"]),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"score table {path}: missing or mistyped field ({e!r})") from e
 
 
 def _write_json(path, doc):
@@ -741,11 +747,11 @@ def _check_pool_feeds_rounds(config: ExperimentConfig, pool_size: int):
     """Raise before any fit if some round would find the pool too small.
 
     Round r starts with pool_size - (r - 1) batch_size rows. It needs
-    batch_size of them, and bait its forward width of 2 batch_size. The
-    error names the first such round, as that round itself would.
+    batch_size of them, and bait its forward width of BAIT_FORWARD_MULTIPLIER
+    batch_size. The error names the first such round, as that round would.
     """
     b = config.batch_size
-    need = 2 * b if config.method == "bait" else b
+    need = BAIT_FORWARD_MULTIPLIER * b if config.method == "bait" else b
     if config.rounds == 0 or pool_size - (config.rounds - 1) * b >= need:
         return
     # the first r with pool_size - (r - 1) b < need; b >= 1 here

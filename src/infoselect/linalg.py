@@ -3,8 +3,10 @@
 All k x k log determinants go through Cholesky factorizations: for a factor L with
 A = L L^T, logdet(A) = 2 * sum(log(diag(L))). Factorizations that fail get a
 second chance through an escalating diagonal jitter; see `jitter_schedule`.
-Solves go through the inverse factor L^-1, formed once per matrix and cached
-on `PsdMatrix`: A^-1 B = L^-T (L^-1 B) is then two matrix products.
+`PsdMatrix` is the only owner of a cached factor L, inverse factor L^-1 and
+inverse, each formed on first use, so a k x k matrix is wrapped in one only
+where one of them is read; every other curvature is a plain array. Solves are
+products with L^-1: A^-1 B = L^-T (L^-1 B).
 Ratios of determinants such as logdet(F P^-1 + I) are evaluated as
 logdet(F + P) - logdet(P) so that both terms stay symmetric and factorizable;
 the rank-C term of a single candidate instead goes through the C x C
@@ -27,14 +29,15 @@ INVERSE_BLOCK = 32
 
 
 class PsdMatrix:
-    """Symmetric matrix wrapper.
+    """Symmetric matrix that caches its factorization.
 
     Construction symmetrizes the input through (A + A^T) / 2, so stored
     entries satisfy M[i, j] == M[j, i] exactly. Positive semidefiniteness is
     a caller obligation; it is enforced lazily by the factorizing routines.
     The wrapped array is frozen to keep instances safely shareable, which
     also lets the Cholesky factor, its inverse and the matrix inverse be
-    computed once and reused.
+    computed once, on first use, and reused. Wrap a matrix only where one
+    of them is read.
     """
 
     __slots__ = ("values", "_factor", "_factor_inv", "_inverse")
@@ -55,10 +58,6 @@ class PsdMatrix:
     @classmethod
     def identity(cls, dim: int) -> "PsdMatrix":
         return cls(np.eye(dim))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "PsdMatrix":
-        return cls(np.zeros((dim, dim)))
 
     @property
     def dim(self) -> int:

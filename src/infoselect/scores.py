@@ -18,7 +18,7 @@ or -1 (remove). Neither needs a square root of L_n.
 state A and gives every candidate's change. The pool columns read it at
 A = P (and E + P), which is step 0 of greedy and BAIT selection; those
 carry the same state through rank-C updates. Every set value, empty batch
-included, comes from the batch scores' own k x k formula.
+included, comes from the k x k formulas `logdet_ratio` and `trace_ratio`.
 
 Orientation: the expected/joint information scores (eig, ig) and the two
 gradient-norm baselines are maximization objectives. The transductive
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyEvalSet, EmptySampleSet, NotPositiveDefinite
 from .glm import Dataset, GlmModel, candidate_projection, fisher_batch
-from .linalg import PsdMatrix, chol_logdet, factor_logdet
+from .linalg import PsdMatrix, chol_logdet
 from .posterior import GaussianPosterior, entropy_approx
 from .prediction import MC_CHUNK
 
@@ -49,12 +49,12 @@ class ScorePair:
 
 
 class Scorer:
-    """Binds a fitted model to its posterior and caches the factorization.
+    """Binds a fitted model to its posterior.
 
-    The precision Cholesky factor is computed once at construction; scoring
-    calls reuse it, and the precision's inverse, once formed, stays cached
-    on the posterior's PsdMatrix. Instances are immutable, so concurrent
-    scoring of disjoint candidate sets needs no coordination.
+    Construction factorizes nothing: the precision's factors are formed on
+    first use and stay cached on the posterior's PsdMatrix. Instances are
+    immutable, so concurrent scoring of disjoint candidate sets needs no
+    coordination.
     """
 
     def __init__(self, model: GlmModel, posterior: GaussianPosterior):
@@ -65,8 +65,6 @@ class Scorer:
             )
         self.model = model
         self.posterior = posterior
-        self._prec = posterior.precision.values
-        self._prec_factor = posterior.precision.factor()
 
     @property
     def num_weights(self) -> int:
@@ -87,13 +85,13 @@ class Scorer:
         return self.model.head.curvature(np.asarray(xs, dtype=float) @ self.model.weights)
 
 
-def logdet_ratio(term: np.ndarray, base: np.ndarray, base_factor: np.ndarray) -> float:
-    """1/2 [logdet(term + base) - logdet(base)], the log-det form of every score.
+def logdet_ratio(total: PsdMatrix, base: PsdMatrix) -> float:
+    """1/2 [logdet(total) - logdet(base)], the log-det form of every score.
 
-    base_factor is the lower Cholesky factor of base, which callers already
-    hold; only term + base is factorized here.
+    total is base plus the score's term; both log-dets read the matrices'
+    cached factors, so a base shared across calls is factorized once.
     """
-    return 0.5 * (chol_logdet(term + base) - factor_logdet(base_factor))
+    return 0.5 * (chol_logdet(total) - chol_logdet(base))
 
 
 def trace_ratio(term: np.ndarray, base_inv: np.ndarray) -> float:
@@ -161,7 +159,7 @@ class RankCState:
         return (self.xs @ by_feature).reshape(-1, c, c)
 
     def logdet_changes(self, rows=slice(None), sign: float = 1.0) -> np.ndarray:
-        """logdet_ratio(sign F_n, A) = 1/2 logdet(I + sign L_n S_n) for each of rows."""
+        """logdet_ratio(A + sign F_n, A) = 1/2 logdet(I + sign L_n S_n) for each of rows."""
         return 0.5 * _rank_c_update(self.curv[rows], self.proj[rows], sign)[1]
 
     def trace_changes(self, rows=slice(None), sign: float = 1.0) -> np.ndarray:
@@ -207,8 +205,8 @@ def logdet_gains(q: RankCState, r: RankCState | None = None, rows=slice(None)) -
     """Change of a log-det objective when each of rows alone joins the batch.
 
     q carries the precision P + F_batch. eig (r None):
-    logdet_ratio(F_n, q) = 1/2 logdet(I + L_n S_n(q^-1)). epig/jepig, with r
-    carrying E + q: logdet_ratio(E, q + F_n) - logdet_ratio(E, q)
+    logdet_ratio(q + F_n, q) = 1/2 logdet(I + L_n S_n(q^-1)). epig/jepig, with
+    r carrying E + q: logdet_ratio(E + q + F_n, q + F_n) - logdet_ratio(E + q, q)
     = 1/2 [logdet(I + L_n S_n(r^-1)) - logdet(I + L_n S_n(q^-1))].
     """
     change = q.logdet_changes(rows)
@@ -238,11 +236,9 @@ def eig_score(s: Scorer, cand_xs) -> ScorePair:
     xs = np.asarray(cand_xs, dtype=float)
     if xs.size == 0:
         return ScorePair(0.0, 0.0)
-    f = fisher_batch(s.model, xs).values
-    return ScorePair(
-        logdet_ratio(f, s._prec, s._prec_factor),
-        trace_ratio(f, s.posterior.precision.inverse()),
-    )
+    p = s.posterior.precision
+    f = fisher_batch(s.model, xs)
+    return ScorePair(logdet_ratio(p + f, p), trace_ratio(f, p.inverse()))
 
 
 def ig_score(s: Scorer, cands) -> ScorePair:
@@ -269,7 +265,7 @@ def eval_fisher(s: Scorer, eval_xs, reduce: str) -> np.ndarray:
     xs = np.asarray([] if eval_xs is None else eval_xs, dtype=float)
     if xs.size == 0:
         raise EmptyEvalSet("transductive score needs at least one eval point")
-    total = fisher_batch(s.model, xs).values
+    total = fisher_batch(s.model, xs)
     if reduce == "mean":
         return total / xs.shape[0]
     return total
@@ -284,9 +280,7 @@ def transductive_score(s: Scorer, cand_xs, eval_term: np.ndarray) -> ScorePair:
     evaluation directions, hence minimization.
     """
     q = s.precision_with(cand_xs)
-    return ScorePair(
-        logdet_ratio(eval_term, q.values, q.factor()), trace_ratio(eval_term, q.inverse())
-    )
+    return ScorePair(logdet_ratio(q + eval_term, q), trace_ratio(eval_term, q.inverse()))
 
 
 def epig_score(s: Scorer, cand_xs, eval_xs) -> ScorePair:
@@ -335,15 +329,19 @@ def _transductive_pool(s: Scorer, pool_xs, eval_term) -> tuple[np.ndarray, np.nd
 
     The empty batch's pair plus each candidate's change from the states
     greedy selection (q carrying P, r carrying E + P) and BAIT (q) start
-    from: logdet_gains for the log-det, trace_changes for the trace.
+    from: logdet_gains for the log-det, trace_changes for the trace. E + P
+    is factorized once, for both r and the empty batch's log-det.
     """
     xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
     p = s.posterior.precision
+    e_plus_p = p + eval_term
     curv = s.curvatures(xs)
     q = RankCState(s.model, xs, curv, p.inverse(), eval_term)
-    r = RankCState(s.model, xs, curv, (p + eval_term).inverse())
-    empty = transductive_score(s, (), eval_term)
-    return empty.logdet + logdet_gains(q, r), empty.trace + q.trace_changes()
+    r = RankCState(s.model, xs, curv, e_plus_p.inverse())
+    return (
+        logdet_ratio(e_plus_p, p) + logdet_gains(q, r),
+        trace_ratio(eval_term, p.inverse()) + q.trace_changes(),
+    )
 
 
 def epig_pool_scores(s: Scorer, pool_xs, eval_xs) -> tuple[np.ndarray, np.ndarray]:

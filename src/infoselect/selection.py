@@ -16,21 +16,17 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BatchTooLarge, TooManySubsets
-from .scores import (
-    RankCState,
-    Scorer,
-    eig_score,
-    eval_fisher,
-    logdet_gains,
-    trace_ratio,
-    transductive_score,
-)
+from .scores import RankCState, Scorer, eval_fisher, logdet_gains, logdet_ratio, trace_ratio
 from .similarity import JacobianDataMatrix
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
+
+# BAIT's forward pass grows this many times the batch before pruning to it;
+# the simulate precheck reads it too.
+BAIT_FORWARD_MULTIPLIER = 2
 
 
 @dataclass(frozen=True)
@@ -77,11 +73,13 @@ def _eval_term(s: Scorer, objective: str, eval_xs):
 def _set_value(s: Scorer, xs, eval_term) -> float:
     """Log-det objective of the candidate set xs: the log-det of its batch score.
 
-    eig_score for eig (eval_term None), transductive_score for epig/jepig.
+    eig_score for eig (eval_term None), transductive_score for epig/jepig;
+    only the log-det half is formed, so q = P + F(xs) is never inverted.
     """
+    q = s.precision_with(xs)
     if eval_term is None:
-        return eig_score(s, xs).logdet
-    return transductive_score(s, xs, eval_term).logdet
+        return logdet_ratio(q, s.posterior.precision)
+    return logdet_ratio(q + eval_term, q)
 
 
 def greedy_logdet(
@@ -132,7 +130,7 @@ def greedy_logdet(
 
 
 def bait_forward_backward(
-    s: Scorer, pool_xs, k: int, eval_xs, forward_multiplier: int = 2
+    s: Scorer, pool_xs, k: int, eval_xs, forward_multiplier: int = BAIT_FORWARD_MULTIPLIER
 ) -> SelectionResult:
     """Forward-backward selection on the transductive trace objective.
 
@@ -148,7 +146,7 @@ def bait_forward_backward(
     tr((q + s F_n)^-1 F_eval) is then tr(q^-1 F_eval) plus its
     `RankCState.trace_changes`, so the first step ranks on twice the
     epig_trace pool column. The objective is the k x k value of the
-    chosen set.
+    chosen set, twice its epig_score trace; only q is factorized for it.
     """
     pool = np.asarray(pool_xs, dtype=float)
     width = forward_multiplier * k
@@ -182,7 +180,7 @@ def bait_forward_backward(
             state.update(picked, sign)
     return SelectionResult(
         indices=tuple(chosen),
-        objective_value=2.0 * transductive_score(s, pool[chosen], eval_term).trace,
+        objective_value=2.0 * trace_ratio(eval_term, s.precision_with(pool[chosen]).inverse()),
         method="bait",
         gains=tuple(gains),
     )

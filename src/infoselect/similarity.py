@@ -1,10 +1,11 @@
 """Similarity-matrix route to the information scores.
 
 Instead of accumulating k x k curvature, stack per-sample loss gradients
-into an n x k data matrix G and work with n x n Gram matrices: G G^T under
-the Euclidean inner product or G P^-1 G^T under the precision-weighted one.
-The matrix determinant lemma makes the n x n and k x k routes agree, which
-is cheap when the pool is smaller than the weight count.
+into an n x k data matrix G and work with n x n Gram matrices, plain
+symmetric arrays: G G^T under the Euclidean inner product (`gram`) or
+G P^-1 G^T under the precision-weighted one (`gram_weighted`). The matrix
+determinant lemma makes the n x n and k x k routes agree, which is cheap
+when the pool is smaller than the weight count.
 
 Rows require a label per point. Sampled labels make G^T G an unbiased
 one-sample estimate of the summed Fisher information; hard (argmax) pseudo
@@ -20,7 +21,7 @@ against P's cached Cholesky factor (`eig_via_similarity_pool`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +33,6 @@ from .scores import logdet_ratio
 HARD = "hard"
 SAMPLED = "sampled"
 GIVEN = "given"
-
-EUCLIDEAN = "euclidean"
-PRECISION_WEIGHTED = "precision-weighted"
 
 # Relative eigenvalue floor below which a Gram matrix counts as singular.
 _SINGULAR_RTOL = 1e-12
@@ -71,30 +69,6 @@ class JacobianDataMatrix:
     def biased(self) -> bool:
         """True when Gram estimates from these rows are not unbiased."""
         return self.label_mode != SAMPLED
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Gram matrix of data-matrix rows under a stated inner product."""
-
-    entries: np.ndarray
-    metric: str
-    symmetric: bool = field(default=True)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if self.symmetric:
-            entries = as_psd(entries).values
-        object.__setattr__(self, "entries", entries)
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
-
-    @property
-    def shape(self):
-        return self.entries.shape
 
 
 def build_data_matrix(
@@ -158,14 +132,15 @@ def _check_k(a: JacobianDataMatrix, b: JacobianDataMatrix):
         )
 
 
-def gram(g: JacobianDataMatrix) -> SimilarityMatrix:
-    """Euclidean similarity G G^T."""
-    return SimilarityMatrix(g.rows @ g.rows.T, EUCLIDEAN)
+def gram(g: JacobianDataMatrix) -> np.ndarray:
+    """Euclidean similarity G G^T, an (n, n) array."""
+    return g.rows @ g.rows.T
 
 
-def gram_weighted(g: JacobianDataMatrix, precision) -> SimilarityMatrix:
-    """Precision-weighted similarity G P^-1 G^T."""
-    return SimilarityMatrix(cross(g, g, precision), PRECISION_WEIGHTED)
+def gram_weighted(g: JacobianDataMatrix, precision) -> np.ndarray:
+    """Precision-weighted similarity G P^-1 G^T, symmetrized as (S + S^T) / 2 to be exact."""
+    s = cross(g, g, precision)
+    return (s + s.T) / 2.0
 
 
 def cross(
@@ -207,10 +182,9 @@ def eig_via_similarity(g_acq: JacobianDataMatrix, precision) -> float:
     """
     n, k = g_acq.rows.shape
     if n <= k:
-        s = gram_weighted(g_acq, precision).entries
-        return 0.5 * chol_logdet(s + np.eye(n))
+        return 0.5 * chol_logdet(gram_weighted(g_acq, precision) + np.eye(n))
     p = as_psd(precision)
-    return logdet_ratio(g_acq.rows.T @ g_acq.rows, p.values, p.factor())
+    return logdet_ratio(p + g_acq.rows.T @ g_acq.rows, p)
 
 
 def eig_uninformative(g_acq: JacobianDataMatrix, lam: float) -> float:
@@ -222,7 +196,7 @@ def eig_uninformative(g_acq: JacobianDataMatrix, lam: float) -> float:
     if lam <= 0.0:
         raise ValueError("lam must be positive for the finite form")
     n = g_acq.n
-    s = gram(g_acq).entries + lam * np.eye(n)
+    s = gram(g_acq) + lam * np.eye(n)
     return 0.5 * chol_logdet(s) - 0.5 * n * float(np.log(lam))
 
 
@@ -232,7 +206,7 @@ def eig_uninformative_limit(g_acq: JacobianDataMatrix) -> float:
     Only defined for full-rank Grams; rank deficiency (for example a
     duplicated row) raises SingularGram instead of being jittered over.
     """
-    s = gram(g_acq).entries
+    s = gram(g_acq)
     _require_nonsingular(s, "acquisition Gram")
     return 0.5 * chol_logdet(s)
 

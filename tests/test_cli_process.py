@@ -1,4 +1,4 @@
-"""The command line in a fresh interpreter, as a shell runs it.
+"""The command line and the README's Python example in a fresh interpreter.
 
 In-process tests cannot see two things: pytest records warnings instead of
 printing them, so stray warning lines on stderr go unnoticed, and the test
@@ -8,10 +8,14 @@ too. Each test here starts its own Python with `src/` on the path.
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+from infoselect.harness import default_methods
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SMALL = ["--n", "120", "--dim", "3", "--pool-size", "20", "--eval-size", "10"]
 
 
@@ -65,3 +69,16 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in ("model.json", "scores.csv", "select.json"):
         assert any(tmp_path.rglob(name)), name
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # the Python API example documents names a refactor can change
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    out = ""
+    for block in blocks:
+        proc = run_python(["-c", block], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        out += proc.stdout
+    assert str(default_methods("categorical")) in out

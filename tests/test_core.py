@@ -104,7 +104,7 @@ def make_problem(seed, categorical, few_rows, structure, logit_scale):
         pool = rng.standard_normal((n, 1)) @ rng.standard_normal((1, d))
     train = rng.standard_normal((int(rng.integers(0, 2 * k)), d))
     lam = float(rng.choice([0.05, 1.0, 10.0]))
-    prec = PsdMatrix(fisher_batch(model, train).values + lam * np.eye(k))
+    prec = PsdMatrix(fisher_batch(model, train) + lam * np.eye(k))
     s = Scorer(model, GaussianPosterior(np.zeros(k), prec, lam))
     evals = rng.standard_normal((int(rng.integers(1, 6)), d))
     return s, pool, evals
@@ -136,31 +136,31 @@ def _trace_by_factor(term, base_factor):
 def oracle_pool_scores(s, pool, eval_term=None):
     """(logdet, trace) per candidate, factorizing F_n + P for each one."""
     out = []
+    p = s.posterior.precision
     for x in pool:
         f = fisher_information(s.model, x).values
         if eval_term is None:
-            out.append((logdet_ratio(f, s._prec, s._prec_factor), _trace_by_factor(f, s._prec_factor)))
+            out.append((logdet_ratio(p + f, p), _trace_by_factor(f, p.factor())))
         else:
-            q = f + s._prec
-            q_factor, _ = _cholesky_jittered(q)
-            out.append((logdet_ratio(eval_term, q, q_factor), _trace_by_factor(eval_term, q_factor)))
+            q = p + f
+            out.append((logdet_ratio(q + eval_term, q), _trace_by_factor(eval_term, q.factor())))
     return np.array(out).reshape(-1, 2)
 
 
 def oracle_greedy(s, pool, k, eval_term):
     """Greedy log-det growth; every candidate's set value from k x k factors."""
     fishers = [fisher_information(s.model, x).values for x in pool]
+    p = s.posterior.precision
 
     def value(f):
         if eval_term is None:
-            return logdet_ratio(f, s._prec, s._prec_factor)
-        q = f + s._prec
-        q_factor, _ = _cholesky_jittered(q)
-        return logdet_ratio(eval_term, q, q_factor)
+            return logdet_ratio(p + f, p)
+        q = p + f
+        return logdet_ratio(q + eval_term, q)
 
     sign = 1.0 if eval_term is None else -1.0
     chosen, gains, steps = [], [], []
-    f_cur = np.zeros_like(s._prec)
+    f_cur = np.zeros_like(s.posterior.precision.values)
     value_cur = value(f_cur)
     remaining = list(range(len(pool)))
     for _ in range(k):
@@ -184,12 +184,12 @@ def oracle_bait(s, pool, k, eval_xs, forward_multiplier=2):
     fishers = [fisher_information(s.model, x).values for x in pool]
 
     def value(f):
-        q_factor, _ = _cholesky_jittered(f + s._prec)
+        q_factor, _ = _cholesky_jittered(f + s.posterior.precision.values)
         return 2.0 * _trace_by_factor(eval_term, q_factor)
 
     width = forward_multiplier * k
     chosen, gains, steps = [], [], []
-    f_cur = np.zeros_like(s._prec)
+    f_cur = np.zeros_like(s.posterior.precision.values)
     value_cur = value(f_cur)
     remaining = list(range(len(pool)))
     for step in range(2 * width - k):
@@ -254,7 +254,7 @@ def test_candidate_projection_matches_explicit_factor():
 @given(**problems)
 def test_pool_scores_match_per_candidate_oracle(seed, categorical, few_rows, structure, logit_scale):
     s, pool, evals = make_problem(seed, categorical, few_rows, structure, logit_scale)
-    half_logdet_p = 0.5 * abs(factor_logdet(s._prec_factor))
+    half_logdet_p = 0.5 * abs(factor_logdet(s.posterior.precision.factor()))
 
     got = np.column_stack(eig_pool_scores(s, pool))
     want = oracle_pool_scores(s, pool)
@@ -266,10 +266,11 @@ def test_pool_scores_match_per_candidate_oracle(seed, categorical, few_rows, str
         eval_term = eval_fisher(s, evals, reduce)
         got = np.column_stack(pool_scores(s, pool, evals))
         want = oracle_pool_scores(s, pool, eval_term)
-        r_factor, _ = _cholesky_jittered(eval_term + s._prec)
+        r_factor, _ = _cholesky_jittered(eval_term + s.posterior.precision.values)
         ld_scale = 1.0 + half_logdet_p + 0.5 * abs(factor_logdet(r_factor))
         assert_close(got[:, 0], want[:, 0], ld_scale)
-        assert_close(got[:, 1], want[:, 1], _trace_by_factor(eval_term, s._prec_factor))
+        p_factor = s.posterior.precision.factor()
+        assert_close(got[:, 1], want[:, 1], _trace_by_factor(eval_term, p_factor))
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,17 +325,18 @@ def test_greedy_matches_oracle(objective, seed, categorical, few_rows, structure
     )
     got = greedy_logdet(s, pool, k, objective, eval_xs)
     want, want_value, want_gains, steps = oracle_greedy(s, pool, k, eval_term)
-    scale = 1.0 + 0.5 * abs(factor_logdet(s._prec_factor)) + abs(want_value)
+    scale = 1.0 + 0.5 * abs(factor_logdet(s.posterior.precision.factor())) + abs(want_value)
     if assert_same_picks(got.indices, want, steps, 1.0 if eval_term is None else -1.0):
         assert_close(got.objective_value, want_value, scale)
         assert_close(got.gains, want_gains, scale)
     # the reported objective is always the k x k value of the reported set
-    f_set = fisher_batch(s.model, pool[list(got.indices)]).values
+    f_set = fisher_batch(s.model, pool[list(got.indices)])
+    p = s.posterior.precision
     if eval_term is None:
-        set_value = logdet_ratio(f_set, s._prec, s._prec_factor)
+        set_value = logdet_ratio(p + f_set, p)
     else:
-        q = f_set + s._prec
-        set_value = logdet_ratio(eval_term, q, _cholesky_jittered(q)[0])
+        q = p + f_set
+        set_value = logdet_ratio(q + eval_term, q)
     assert_close(got.objective_value, set_value, scale)
 
 
@@ -347,7 +349,7 @@ def test_bait_matches_oracle(seed, categorical, few_rows, structure, logit_scale
     multiplier = width // k
     got = bait_forward_backward(s, pool, k, evals, forward_multiplier=multiplier)
     want, want_value, want_gains, steps = oracle_bait(s, pool, k, evals, multiplier)
-    scale = 2.0 * _trace_by_factor(eval_fisher(s, evals, "mean"), s._prec_factor)
+    scale = 2.0 * _trace_by_factor(eval_fisher(s, evals, "mean"), s.posterior.precision.factor())
     if assert_same_picks(got.indices, want, steps, -1.0):
         assert_close(got.objective_value, want_value, scale)
         assert_close(got.gains, want_gains, scale)
@@ -463,15 +465,15 @@ def test_greedy_carried_state_matches_refactorized_steps(
     eval_xs = None if objective == "eig" else evals
     with carried_states() as log:
         got = greedy_logdet(s, pool, k, objective, eval_xs)
-    bases = [s._prec]
+    bases = [s.posterior.precision.values]
     if objective != "eig":
-        bases.append(s._prec + _eval_term(s, objective, evals))
+        bases.append(s.posterior.precision.values + _eval_term(s, objective, evals))
     # the last pick's update would go unread, so k picks make k - 1 updates
     assert all(len(updates) == k - 1 for updates in log.values())
     assert_carried_match_fresh(s, log, bases if k > 1 else [])
 
     want, want_value, want_gains, steps = refactorized_greedy(s, pool, k, objective, eval_xs)
-    scale = 1.0 + 0.5 * abs(factor_logdet(s._prec_factor)) + abs(want_value)
+    scale = 1.0 + 0.5 * abs(factor_logdet(s.posterior.precision.factor())) + abs(want_value)
     if assert_same_picks(got.indices, want, steps, 1.0 if objective == "eig" else -1.0):
         assert got.objective_value == want_value
         assert_close(got.gains, want_gains, scale)
@@ -497,7 +499,7 @@ def test_bait_carried_state_matches_refactorized_steps(
     width = multiplier * k
     # every pick and drop updates the state but the last, whose result goes unread
     signs = ([1.0] * width + [-1.0] * (width - k))[:-1]
-    assert_carried_match_fresh(s, log, [s._prec] if signs else [], eval_term)
+    assert_carried_match_fresh(s, log, [s.posterior.precision.values] if signs else [], eval_term)
     updates = next(iter(log.values()), [])
     assert [sign for _, sign, *_ in updates] == signs
     forward = [b for b, *_ in updates[:width]]
@@ -508,7 +510,8 @@ def test_bait_carried_state_matches_refactorized_steps(
     want, want_value, want_gains, steps = refactorized_bait(s, pool, k, evals, multiplier)
     if assert_same_picks(got.indices, want, steps, -1.0):
         assert got.objective_value == want_value
-        assert_close(got.gains, want_gains, 2.0 * _trace_by_factor(eval_term, s._prec_factor))
+        p_factor = s.posterior.precision.factor()
+        assert_close(got.gains, want_gains, 2.0 * _trace_by_factor(eval_term, p_factor))
 
 
 def test_carried_state_does_not_drift_at_benchmark_shape():
@@ -520,11 +523,12 @@ def test_carried_state_does_not_drift_at_benchmark_shape():
     s = Scorer(model, build_posterior(model, train, 1.0))
     pool, evals = data.features[80:280], data.features[280:]
     eval_term = eval_fisher(s, evals, "mean")
+    prec = s.posterior.precision.values
     for objective in ("eig", "epig"):
         eval_xs = None if objective == "eig" else evals
         with carried_states() as log:
             got = greedy_logdet(s, pool, 10, objective, eval_xs)
-        bases = [s._prec] if objective == "eig" else [s._prec, s._prec + eval_term]
+        bases = [prec] if objective == "eig" else [prec, prec + eval_term]
         assert_carried_match_fresh(s, log, bases)
         want, want_value, want_gains, _ = refactorized_greedy(s, pool, 10, objective, eval_xs)
         assert list(got.indices) == want and got.objective_value == want_value
@@ -532,7 +536,7 @@ def test_carried_state_does_not_drift_at_benchmark_shape():
     with carried_states() as log:
         got = bait_forward_backward(s, pool, 10, evals)
     assert len(next(iter(log.values()))) == 29
-    assert_carried_match_fresh(s, log, [s._prec], eval_term)
+    assert_carried_match_fresh(s, log, [prec], eval_term)
     want, want_value, want_gains, _ = refactorized_bait(s, pool, 10, evals)
     assert list(got.indices) == want and got.objective_value == want_value
     assert_close(got.gains, want_gains, np.max(np.abs(want_gains)))

@@ -232,8 +232,8 @@ def test_fisher_batch_is_sum_of_singles():
     m = random_model(rng)
     xs = rng.standard_normal((6, 3))
     total = sum(fisher_information(m, x).values for x in xs)
-    assert np.allclose(fisher_batch(m, xs).values, total, atol=1e-10)
-    assert np.array_equal(fisher_batch(m, np.zeros((0, 3))).values, np.zeros((12, 12)))
+    assert np.allclose(fisher_batch(m, xs), total, atol=1e-10)
+    assert np.array_equal(fisher_batch(m, np.zeros((0, 3))), np.zeros((12, 12)))
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,17 @@ def test_score_table_rejects_unknown_column(tmp_path):
         ScoreTable.from_csv(p)
 
 
+@pytest.mark.parametrize(
+    "name, text", [("s.csv", ""), ("s.json", "{}"), ("s.json", "[]")]
+)
+def test_score_table_rejects_file_without_a_table(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    read = ScoreTable.from_csv if name.endswith(".csv") else ScoreTable.from_json
+    with pytest.raises(ConfigError, match=rf"score table .*{name}"):
+        read(p)
+
+
 def test_score_table_rejects_bad_cells(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("index,eig_logdet\n0,1.5\n1,2.5,7\n")

@@ -47,7 +47,7 @@ def test_eig_eigenvalue_oracle():
     # explicit inverse
     data, model, post, s = fitted_setup(seed=1)
     xs = data.features[:3]
-    f = fisher_batch(model, xs).values
+    f = fisher_batch(model, xs)
     p = post.precision.values
     want_logdet = 0.5 * (
         np.sum(np.log(np.linalg.eigvalsh(f + p))) - np.sum(np.log(np.linalg.eigvalsh(p)))
@@ -113,8 +113,8 @@ def test_epig_dense_formula_oracle():
     data, model, post, s = fitted_setup(seed=7, n=60)
     cand = data.features[:2]
     ev = data.features[10:25]
-    f_cand = fisher_batch(model, cand).values
-    e_mean = fisher_batch(model, ev).values / ev.shape[0]
+    f_cand = fisher_batch(model, cand)
+    e_mean = fisher_batch(model, ev) / ev.shape[0]
     p = post.precision.values
     q = f_cand + p
     want_logdet = 0.5 * (np.linalg.slogdet(e_mean + q)[1] - np.linalg.slogdet(q)[1])
@@ -128,8 +128,8 @@ def test_jepig_dense_formula_oracle():
     data, model, post, s = fitted_setup(seed=8, n=60)
     cand = data.features[:2]
     ev = data.features[10:25]
-    f_cand = fisher_batch(model, cand).values
-    e_sum = fisher_batch(model, ev).values
+    f_cand = fisher_batch(model, cand)
+    e_sum = fisher_batch(model, ev)
     q = f_cand + post.precision.values
     want_logdet = 0.5 * (np.linalg.slogdet(e_sum + q)[1] - np.linalg.slogdet(q)[1])
     got = jepig_score(s, cand, ev)
@@ -251,7 +251,7 @@ def test_pool_helpers_match_singletons():
 def test_egl_equals_fisher_trace():
     data, model, _, s = fitted_setup(seed=18)
     for x in data.features[:10]:
-        want = float(np.trace(fisher_batch(model, x[None, :]).values))
+        want = float(np.trace(fisher_batch(model, x[None, :])))
         assert egl_score(s, x) == pytest.approx(want, abs=1e-10)
 
 

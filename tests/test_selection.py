@@ -1,13 +1,16 @@
 import itertools
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import fitted_setup
+from infoselect import linalg
 from infoselect.errors import BatchTooLarge, EmptyEvalSet, TooManySubsets
 from infoselect.glm import GlmModel, Head, fisher_batch, fisher_information
 from infoselect.linalg import PsdMatrix
-from infoselect.posterior import GaussianPosterior
+from infoselect.posterior import GaussianPosterior, build_posterior
 from infoselect.scores import (
     Scorer,
     eig_score,
@@ -158,13 +161,72 @@ def test_greedy_objective_recomputes_from_final_set():
     pool = rng.standard_normal((6, 3))
     evals = rng.standard_normal((5, 3))
     r = greedy_logdet(s, pool, 2, "epig", eval_xs=evals)
-    f_set = fisher_batch(model, pool[list(r.indices)]).values
+    f_set = fisher_batch(model, pool[list(r.indices)])
     f_bar = np.mean(
         [fisher_information(model, x).values for x in evals], axis=0
     )
     q = f_set + post.precision.values
     want = 0.5 * (slogdet(f_bar + q) - slogdet(q))
     assert r.objective_value == pytest.approx(want, abs=1e-9)
+
+
+def test_set_values_are_the_batch_scores_bit_for_bit():
+    data, model, post, s = fitted_setup()
+    pool, evals = data.features[:20], data.features[20:30]
+    for objective, score in (
+        ("eig", lambda xs: eig_score(s, xs)),
+        ("epig", lambda xs: epig_score(s, xs, evals)),
+        ("jepig", lambda xs: jepig_score(s, xs, evals)),
+    ):
+        r = greedy_logdet(s, pool, 3, objective, None if objective == "eig" else evals)
+        assert r.objective_value == score(pool[list(r.indices)]).logdet
+    r = bait_forward_backward(s, pool, 3, evals)
+    assert r.objective_value == 2.0 * epig_score(s, pool[list(r.indices)], evals).trace
+
+
+@contextmanager
+def counted_factorizations():
+    """Count k x k Cholesky factorizations and inverse factors as they are formed.
+
+    Used at k <= linalg.INVERSE_BLOCK, where lower_inverse does not recurse.
+    """
+    counts = {"cholesky": 0, "lower_inverse": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with mock.patch.object(
+        linalg, "_cholesky_jittered", counted("cholesky", linalg._cholesky_jittered)
+    ), mock.patch.object(
+        linalg, "lower_inverse", counted("lower_inverse", linalg.lower_inverse)
+    ):
+        yield counts
+
+
+def test_only_factors_that_are_read_are_formed():
+    data, model, _, _ = fitted_setup()
+    post = build_posterior(model, data, 1.0)  # nothing factorized yet
+    pool, evals = data.features[:20], data.features[20:30]
+    assert model.num_weights <= linalg.INVERSE_BLOCK
+    with counted_factorizations() as counts:
+        s = Scorer(model, post)
+    assert counts == {"cholesky": 0, "lower_inverse": 0}
+    post.precision.inverse()  # P's factors are cached from here on
+    for objective in ("epig", "jepig"):
+        with counted_factorizations() as counts:
+            greedy_logdet(s, pool, 3, objective, evals)
+        # E + P for the carried state; the objective factorizes q and E + q
+        # and inverts neither
+        assert counts == {"cholesky": 3, "lower_inverse": 1}
+    with counted_factorizations() as counts:
+        bait_forward_backward(s, pool, 3, evals)
+    assert counts == {"cholesky": 1, "lower_inverse": 1}  # the objective's q only
+    with counted_factorizations() as counts:
+        epig_pool_scores(s, pool, evals)
+    assert counts == {"cholesky": 1, "lower_inverse": 1}  # E + P, once
 
 
 def test_greedy_transductive_needs_eval_points():
@@ -326,7 +388,7 @@ def test_exhaustive_matches_independent_enumeration():
     prec = s.posterior.precision.values
     best_set, best_val = None, -np.inf
     for subset in itertools.combinations(range(6), 2):
-        f = fisher_batch(s.model, pool[list(subset)]).values
+        f = fisher_batch(s.model, pool[list(subset)])
         v = 0.5 * (slogdet(f + prec) - slogdet(prec))
         if v > best_val:
             best_set, best_val = subset, v

@@ -10,7 +10,6 @@ from infoselect.similarity import (
     HARD,
     SAMPLED,
     JacobianDataMatrix,
-    SimilarityMatrix,
     build_data_matrix,
     cross,
     eig_uninformative,
@@ -134,15 +133,15 @@ def test_gram_of_single_zero_row():
     g = JacobianDataMatrix(np.zeros((1, 4)), HARD)
     s = gram(g)
     assert s.shape == (1, 1)
-    assert s.entries[0, 0] == 0.0
+    assert s[0, 0] == 0.0
 
 
 def test_gram_weighted_identity_metric_matches_gram():
     rng = np.random.default_rng(11)
     g = random_rows(rng, 4, 6)
     np.testing.assert_allclose(
-        gram_weighted(g, PsdMatrix.identity(6)).entries,
-        gram(g).entries,
+        gram_weighted(g, PsdMatrix.identity(6)),
+        gram(g),
         atol=1e-12,
     )
 
@@ -152,7 +151,10 @@ def test_gram_weighted_against_explicit_inverse():
     g = random_rows(rng, 5, 7)
     p = random_spd(rng, 7)
     want = g.rows @ np.linalg.inv(p) @ g.rows.T
-    np.testing.assert_allclose(gram_weighted(g, p).entries, want, atol=1e-8)
+    s = gram_weighted(g, p)
+    np.testing.assert_allclose(s, want, atol=1e-8)
+    # the two solves round differently on either side of the diagonal
+    assert np.array_equal(s, s.T)
 
 
 def test_cross_block_euclidean_and_weighted():
@@ -176,12 +178,6 @@ def test_dimension_checks():
         JacobianDataMatrix(np.zeros(5), HARD)
     with pytest.raises(DimensionMismatch):
         logdet_mi(np.eye(2), np.eye(3), np.zeros((3, 2)))
-
-
-def test_similarity_matrix_is_symmetrized_and_array_like():
-    s = SimilarityMatrix(np.array([[1.0, 0.5], [0.5, 2.0]]), "euclidean")
-    assert np.asarray(s).shape == (2, 2)
-    np.testing.assert_array_equal(s.entries, s.entries.T)
 
 
 # ---------------------------------------------------------------------------
