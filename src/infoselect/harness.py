@@ -427,9 +427,7 @@ class ScoreTable:
         if header[:1] != ["index"]:
             raise ConfigError(f"score table {path}: header must start with 'index'")
         names = header[1:]
-        unknown = [n for n in names if n not in SCORE_ORIENTATIONS]
-        if unknown:
-            raise ConfigError(f"score table {path}: unknown columns {unknown}")
+        orientations = _known_orientations(path, names)
         width = len(header)
         try:
             body = parse_rows([ln.split(",") for ln in lines[1:]], width, width)
@@ -438,7 +436,7 @@ class ScoreTable:
         return cls(
             indices=tuple(int(i) for i in body[:, 0]),
             columns={n: body[:, j + 1].copy() for j, n in enumerate(names)},
-            orientations={n: SCORE_ORIENTATIONS[n] for n in names},
+            orientations=orientations,
         )
 
     def to_json(self, path):
@@ -455,16 +453,30 @@ class ScoreTable:
     def from_json(cls, path) -> "ScoreTable":
         doc = _read_json(path, "score table")
         try:
+            columns = {
+                name: np.asarray(col, dtype=float) for name, col in doc["columns"].items()
+            }
+            orientations = _known_orientations(path, columns)
+            if dict(doc["orientations"]) != orientations:
+                raise ConfigError(
+                    f"score table {path}: orientations {doc['orientations']}, "
+                    f"expected {orientations}"
+                )
             return cls(
                 indices=tuple(int(i) for i in doc["indices"]),
-                columns={
-                    name: np.asarray(col, dtype=float)
-                    for name, col in doc["columns"].items()
-                },
-                orientations=dict(doc["orientations"]),
+                columns=columns,
+                orientations=orientations,
             )
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as e:
             raise ConfigError(f"score table {path}: missing or mistyped field ({e!r})") from e
+
+
+def _known_orientations(path, names) -> dict[str, str]:
+    """Each column's orientation from the registry; an unknown name fails."""
+    unknown = [n for n in names if n not in SCORE_ORIENTATIONS]
+    if unknown:
+        raise ConfigError(f"score table {path}: unknown columns {unknown}")
+    return {n: SCORE_ORIENTATIONS[n] for n in names}
 
 
 def _write_json(path, doc):

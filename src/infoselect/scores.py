@@ -37,7 +37,9 @@ from .errors import DimensionMismatch, EmptyEvalSet, EmptySampleSet, NotPositive
 from .glm import Dataset, GlmModel, candidate_projection, fisher_batch
 from .linalg import PsdMatrix, chol_logdet
 from .posterior import GaussianPosterior, entropy_approx
-from .prediction import MC_CHUNK
+
+# Pool rows per chunk of grand_pool_scores' (chunk, draws, C) logits.
+GRAND_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -394,7 +396,7 @@ def grand_pool_scores(s: Scorer, pool_xs, labels, weight_samples) -> np.ndarray:
 
     Under draw w the squared score is ||x||^2 ||r_w||^2, r_w the logit
     residual (pi_w(x) - e_y, or z_w - y on the Gaussian head). Rows are
-    taken MC_CHUNK at a time, so the (chunk, draws, C) logits stay small.
+    taken GRAND_CHUNK at a time, so the (chunk, draws, C) logits stay small.
     """
     samples = np.atleast_2d(np.asarray(weight_samples, dtype=float))
     if samples.size == 0:
@@ -412,8 +414,8 @@ def grand_pool_scores(s: Scorer, pool_xs, labels, weight_samples) -> np.ndarray:
     # Row w C + c holds the class-c weights of draw w.
     weights = samples.reshape(n_draws * c, s.model.dim)
     out = np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], MC_CHUNK):
-        stop = start + MC_CHUNK
+    for start in range(0, xs.shape[0], GRAND_CHUNK):
+        stop = start + GRAND_CHUNK
         rows = xs[start:stop]
         z = (rows @ weights.T).reshape(rows.shape[0], n_draws, c)
         resid = head.residual(z, ys[start:stop, None])

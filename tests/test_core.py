@@ -666,7 +666,7 @@ def test_egl_and_grand_match_row_loops(seed, categorical, few_rows, structure, l
     rng = np.random.default_rng(seed)
     weights = model.flat_weights() + rng.standard_normal((7, model.num_weights))
     labels = random_labels(rng, model.head, len(pool))
-    with mock.patch.object(scores_module, "MC_CHUNK", 2):  # chunk boundaries
+    with mock.patch.object(scores_module, "GRAND_CHUNK", 2):  # chunk boundaries
         got = grand_pool_scores(s, pool, labels, weights)
     want = [oracle_grand(s, x, y, weights) for x, y in zip(pool, labels)]
     logits = np.einsum("nd,wcd->nwc", pool, weights.reshape(7, -1, model.dim))

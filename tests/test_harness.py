@@ -326,6 +326,22 @@ def test_score_table_rejects_unknown_column(tmp_path):
         ScoreTable.from_csv(p)
 
 
+@pytest.mark.parametrize("columns, orientations, message", [
+    ({"mystery": [1, 2]}, {"mystery": "sideways"}, "unknown columns"),
+    ({"bald_pred": [1, 2]}, {"bald_pred": "minimize"}, "orientations"),
+    ({"bald_pred": [1, 2]}, {"bald_pred": "sideways"}, "orientations"),
+    ({"bald_pred": [1, 2]}, {"bald_pred": "maximize", "egl": "maximize"}, "orientations"),
+])
+def test_score_table_json_checks_names_and_orientations(tmp_path, columns, orientations,
+                                                        message):
+    # the same registry check as from_csv's header
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(
+        {"indices": [1, 2], "columns": columns, "orientations": orientations}))
+    with pytest.raises(ConfigError, match=rf"score table .*s\.json: {message}"):
+        ScoreTable.from_json(p)
+
+
 @pytest.mark.parametrize(
     "name, text", [("s.csv", ""), ("s.json", "{}"), ("s.json", "[]")]
 )

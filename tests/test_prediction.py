@@ -1,9 +1,15 @@
+import pathlib
+import subprocess
+import sys
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import infoselect.cli as cli
 from conftest import fitted_setup
 from infoselect.errors import (
     DegenerateConstantInput,
@@ -221,6 +227,201 @@ def test_estimator_variance_shrinks_with_more_samples():
         for s in range(30)
     ]
     assert np.std(large) < 0.6 * np.std(small)
+
+
+# ---------------------------------------------------------------------------
+# the pass on two threads
+
+WORKER = "infoselect-mc"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def serial_mc_pass(samples, head, pool, evals):
+    """mc_pool_scores' chunk loop, MC_CHUNK rows at a time, in order, on one thread."""
+    n, s, c = pool.shape[0], samples.n_samples, head.num_outputs
+    bald, epig = np.empty(n), None
+    if evals is not None:
+        m = evals.shape[0]
+        probs_eval = prediction._probs_by_draw(samples, head, evals)
+        marg_eval = probs_eval.mean(axis=0)
+        h_eval = prediction._entropy(marg_eval, axis=0)
+        eval_free = probs_eval[:, : c - 1].reshape(s, -1)
+        epig = np.empty(n)
+    for start in range(0, n, prediction.MC_CHUNK):
+        stop = min(start + prediction.MC_CHUNK, n)
+        probs = prediction._probs_by_draw(samples, head, pool[start:stop])
+        marg_acq = probs.mean(axis=0)
+        h_acq = prediction._entropy(marg_acq, axis=0)
+        bald[start:stop] = h_acq - prediction._entropy(probs, axis=1).mean(axis=0)
+        if epig is not None:
+            free = (probs[:, : c - 1].reshape(s, -1).T @ eval_free).reshape(c - 1, -1, c - 1, m)
+            free /= s
+            last_eval = marg_acq[: c - 1, :, None] - free.sum(axis=2)
+            last_acq = marg_eval[: c - 1] - free.sum(axis=0)
+            corner = marg_eval[c - 1] - last_eval.sum(axis=0)
+            entropy = prediction._entropy
+            h_joint = entropy(free, axis=(0, 2)) + entropy(last_eval, axis=0)
+            h_joint += entropy(last_acq, axis=1) + entropy(corner[None], axis=0)
+            epig[start:stop] = (h_eval[None, :] + h_acq[:, None] - h_joint).mean(axis=1)
+    return np.maximum(0.0, bald), epig
+
+
+def thread_names_of_probs(monkeypatch, raise_in_worker=None, warn_in_worker=False):
+    """Wrap _probs_by_draw: log each call's thread, and optionally fail or
+    warn in the worker's chunks."""
+    names, real = [], prediction._probs_by_draw
+
+    def probs_by_draw(samples, head, xs):
+        name = threading.current_thread().name
+        names.append(name)
+        if name == WORKER and raise_in_worker is not None:
+            raise raise_in_worker
+        if name == WORKER and warn_in_worker:
+            warnings.warn("worker chunk overflow", RuntimeWarning)
+        return real(samples, head, xs)
+
+    monkeypatch.setattr(prediction, "_probs_by_draw", probs_by_draw)
+    return names
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 1000])
+@pytest.mark.parametrize("with_eval", [False, True])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_mc_pass_is_the_serial_chunk_loop_bit_for_bit(monkeypatch, n, with_eval, cores):
+    # every chunk keeps its arithmetic whichever thread runs it; a short
+    # switch interval interleaves the two threads' writes as much as it can
+    rng = np.random.default_rng(n)
+    c, d = 4, 5
+    head = Head.categorical(c)
+    samples = PosteriorSamples(3.0 * rng.standard_normal((60, c * d)), seed=0)
+    pool = rng.standard_normal((n, d))
+    evals = rng.standard_normal((7, d)) if with_eval else None
+    want_bald, want_epig = serial_mc_pass(samples, head, pool, evals)
+    monkeypatch.setattr(prediction, "_usable_cores", lambda: cores)
+    names = thread_names_of_probs(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        bald, epig = mc_pool_scores(samples, head, pool, evals)
+    finally:
+        sys.setswitchinterval(interval)
+    assert bald.tobytes() == want_bald.tobytes()
+    if with_eval:
+        assert epig.tobytes() == want_epig.tobytes()
+    else:
+        assert epig is None
+    two_chunks = n > prediction.MC_CHUNK
+    assert (WORKER in names) == (cores == 2 and two_chunks)
+
+
+def test_mc_pass_runs_on_the_caller_when_no_thread_starts(monkeypatch):
+    rng = np.random.default_rng(3)
+    head = Head.categorical(3)
+    samples = PosteriorSamples(rng.standard_normal((40, 9)), seed=0)
+    pool, evals = rng.standard_normal((100, 3)), rng.standard_normal((5, 3))
+    monkeypatch.setattr(prediction, "_usable_cores", lambda: 2)
+    names = thread_names_of_probs(monkeypatch)
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    bald, epig = mc_pool_scores(samples, head, pool, evals)
+    want_bald, want_epig = serial_mc_pass(samples, head, pool, evals)
+    assert bald.tobytes() == want_bald.tobytes() and epig.tobytes() == want_epig.tobytes()
+    assert set(names) == {"MainThread"}
+
+
+def test_worker_chunks_follow_the_callers_errstate(monkeypatch):
+    # only the worker's chunk overflows: its logits of +-1e400 become +-inf,
+    # and the softmax subtracts inf from inf. It raises or keeps quiet as
+    # the caller's errstate says, which numpy keeps per thread.
+    rng = np.random.default_rng(4)
+    head = Head.categorical(3)
+    samples = PosteriorSamples(1e200 * rng.standard_normal((20, 9)), seed=0)
+    pool = rng.standard_normal((3 * prediction.MC_CHUNK, 3))
+    pool[prediction.MC_CHUNK : 2 * prediction.MC_CHUNK] *= 1e200
+    monkeypatch.setattr(prediction, "_usable_cores", lambda: 2)
+    names = thread_names_of_probs(monkeypatch)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        mc_pool_scores(samples, head, pool)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bald, _ = mc_pool_scores(samples, head, pool)
+    chunk = slice(prediction.MC_CHUNK, 2 * prediction.MC_CHUNK)
+    assert np.isnan(bald[chunk]).any() and not np.isnan(np.delete(bald, chunk)).any()
+    assert WORKER in names
+
+
+def test_blas_threads_reads_the_linked_openblas():
+    # the pass leaves cores a BLAS product takes to it
+    for threads in (1, 2):
+        code = "from infoselect import prediction; print(prediction._blas_threads())"
+        env = {"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(threads)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == [str(threads)]
+
+
+@pytest.mark.parametrize("blas, cores", [(1, 2), (2, 1), (None, 1)])
+def test_usable_cores_leave_blas_its_threads(monkeypatch, blas, cores):
+    monkeypatch.setattr(prediction.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(prediction, "_blas_threads", lambda: blas)
+    assert prediction._usable_cores() == cores
+
+
+SMALL_SCORE = ["score", "--n", "300", "--dim", "3", "--classes", "3", "--pool-size", "100",
+               "--eval-size", "10", "--mc-samples", "50", "--methods", "bald_pred,epig_pred"]
+
+
+def test_worker_memory_error_is_one_error_line(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(prediction, "_usable_cores", lambda: 2)
+    names = thread_names_of_probs(monkeypatch, MemoryError("Unable to allocate 8.0 EiB"))
+    threads = threading.active_count()
+    assert cli.main(SMALL_SCORE + ["--out", str(tmp_path)]) == 1
+    assert WORKER in names
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err.splitlines() == [
+        "infoselect score: error: Unable to allocate 8.0 EiB"
+    ]
+    assert not (tmp_path / "scores.csv").exists()
+
+
+def test_worker_warnings_are_held_back_and_replayed(monkeypatch, capsys, tmp_path):
+    # warnings.catch_warnings records process-wide, worker threads included;
+    # cli.main replays what it held back into the recorder around it
+    monkeypatch.setattr(prediction, "_usable_cores", lambda: 2)
+    names = thread_names_of_probs(monkeypatch, warn_in_worker=True)
+    with warnings.catch_warnings(record=True) as replayed:
+        warnings.simplefilter("always")
+        assert cli.main(SMALL_SCORE + ["--out", str(tmp_path)]) == 0
+    assert names.count(WORKER) > 0
+    assert [(w.category, str(w.message)) for w in replayed] == (
+        [(RuntimeWarning, "worker chunk overflow")] * names.count(WORKER))
+    assert capsys.readouterr().err == ""
+
+    # a failure's one error line stands for them: the caller fails its first
+    # chunk once the worker has warned
+    real, calls, worker_warned = prediction._probs_by_draw, [], threading.Event()
+
+    def probs_by_draw(samples, head, xs):
+        calls.append(threading.current_thread().name)
+        if calls[-1] == WORKER:
+            warnings.warn("worker chunk overflow", RuntimeWarning)
+            worker_warned.set()
+        elif calls.count("MainThread") == 2:  # after the eval rows' call
+            assert worker_warned.wait(timeout=30)
+            raise MemoryError("Unable to allocate 8.0 EiB")
+        return real(samples, head, xs)
+
+    monkeypatch.setattr(prediction, "_probs_by_draw", probs_by_draw)
+    with warnings.catch_warnings(record=True) as replayed:
+        warnings.simplefilter("always")
+        assert cli.main(SMALL_SCORE + ["--out", str(tmp_path / "fail")]) == 1
+    assert WORKER in calls and replayed == []
+    assert capsys.readouterr().err.splitlines() == [
+        "infoselect score: error: Unable to allocate 8.0 EiB"
+    ]
 
 
 # ---------------------------------------------------------------------------
