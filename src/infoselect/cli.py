@@ -64,7 +64,8 @@ def _add_config_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--out", metavar="DIR", help="output directory")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; with a command name, only that command gets its flags."""
     parser = _Parser(
         prog="infoselect",
         description="Information-theoretic data subset selection for GLMs.",
@@ -78,12 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "run the label-and-refit loop, write simulate.csv"),
     ):
         sub = subs.add_parser(name, help=help_text)
-        _add_config_flags(sub)
+        if command in (None, name):
+            _add_config_flags(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads everything after a command name with that command's parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     # Each flag's argparse dest is its ExperimentConfig attribute name.
     overrides = {
         key: getattr(args, attr)

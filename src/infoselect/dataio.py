@@ -8,6 +8,8 @@ digits so a load/save cycle is byte identical and value exact.
 from __future__ import annotations
 
 import csv
+import io
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -28,11 +30,10 @@ def load_csv(path) -> Dataset:
     against a particular head happen at the point of use.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or not rows[0]:
+        header = next(csv.reader(fh), [])
+        text = fh.read()
+    if not header:
         raise MalformedHeader("missing header row")
-    header = rows[0]
     has_labels = header[-1] == "y"
     feature_cols = header[:-1] if has_labels else header
     if not feature_cols:
@@ -45,7 +46,10 @@ def load_csv(path) -> Dataset:
     d = len(feature_cols)
     width = len(header)
 
-    values = parse_rows(rows[1:], d, width)
+    # csv.reader splits a body without quotes or carriage returns at its
+    # newlines and commas alone.
+    lines = text.removesuffix("\n").split("\n") if '"' not in text and "\r" not in text else []
+    values = parse_rows(lines, lambda: csv.reader(io.StringIO(text, newline="")), d, width)
     features = np.ascontiguousarray(values[:, :d])
     labels = values[:, d].copy() if has_labels else None
     if labels is not None and np.all(labels == np.floor(labels)):  # True when empty
@@ -53,26 +57,29 @@ def load_csv(path) -> Dataset:
     return Dataset(features, labels)
 
 
-def parse_rows(body: list[list[str]], d: int, width: int) -> np.ndarray:
-    """Every cell of the body rows as a float, shape (rows, width).
+def parse_rows(
+    lines: list[str], rows: Callable[[], Iterable[list[str]]], d: int, width: int
+) -> np.ndarray:
+    """Every cell of the body as a float, shape (rows, width).
 
-    A ragged row raises MalformedHeader, a non-numeric or non-finite cell
-    in the first d columns NonNumericCell, and a non-finite one after them
-    (the label) LabelOutOfRange, each naming the first bad row or cell.
+    `lines` are the body's lines of comma-separated cells, parsed in one pass
+    when every cell is a finite float. Otherwise `rows()`, the same cells as
+    lists, are read one by one: a ragged row raises MalformedHeader, a
+    non-numeric or non-finite cell in the first d columns NonNumericCell,
+    and a non-finite one after them (the label) LabelOutOfRange, each
+    naming the first bad row or cell.
     """
-    values = _parse_body(body, width)
-    return _parse_cells(body, d, width) if values is None else values
-
-
-def _parse_body(body: list[list[str]], width: int) -> np.ndarray | None:
-    """Every cell as a float in one conversion, or None if any row or cell is bad."""
-    if any(len(row) != width for row in body):
-        return None
-    try:
-        values = np.array(body, dtype=float).reshape(len(body), width)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+    # np.loadtxt skips blank lines: a later one shows as a row too few, and
+    # a first one is refused here, since a blank body would make it warn.
+    if lines and lines[0]:
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(lines), width) and np.isfinite(values).all():
+                return values
+    return _parse_cells(list(rows()), d, width)
 
 
 def _parse_cells(body: list[list[str]], d: int, width: int) -> np.ndarray:

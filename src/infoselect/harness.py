@@ -430,7 +430,7 @@ class ScoreTable:
         orientations = _known_orientations(path, names)
         width = len(header)
         try:
-            body = parse_rows([ln.split(",") for ln in lines[1:]], width, width)
+            body = parse_rows(lines[1:], lambda: (ln.split(",") for ln in lines[1:]), width, width)
         except InfoselectError as e:
             raise _tagged(e, f"score table {path}")
         return cls(

@@ -1,15 +1,23 @@
+import csv
+import importlib.util
 import json
 import pathlib
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import infoselect.cli as cli
+from infoselect import dataio
 from infoselect.dataio import format_float, gen_synthetic, load_csv, save_csv
 from infoselect.errors import (
     BatchTooLarge,
     ConfigError,
+    InfoselectError,
     LabelOutOfRange,
     LengthMismatch,
     MalformedHeader,
@@ -152,6 +160,166 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
     np.testing.assert_array_equal(loaded.labels, data.labels)
     save_csv(b, loaded)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _load_csv_cell_by_cell(path) -> Dataset:
+    """load_csv as it read every file before its one-pass parse: csv.reader,
+    then float() on each cell; the oracle the one-pass parse must match."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or not rows[0]:
+        raise MalformedHeader("missing header row")
+    header = rows[0]
+    has_labels = header[-1] == "y"
+    feature_cols = header[:-1] if has_labels else header
+    if not feature_cols:
+        raise MalformedHeader("no feature columns")
+    expected = [f"f{i}" for i in range(len(feature_cols))]
+    if feature_cols != expected:
+        raise MalformedHeader(
+            f"feature columns must be {','.join(expected)}, got {','.join(feature_cols)}"
+        )
+    d, width = len(feature_cols), len(header)
+    values = np.zeros((len(rows) - 1, width))
+    for r, row in enumerate(rows[1:]):
+        if len(row) != width:
+            raise MalformedHeader(f"row {r} has {len(row)} cells, expected {width}")
+        for c, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCell(
+                    f"cell ({r},{c}) is not numeric: {cell!r}", row=r, col=c
+                ) from None
+            if not np.isfinite(value):
+                if c < d:
+                    raise NonNumericCell(
+                        f"cell ({r},{c}) is not finite: {cell!r}", row=r, col=c
+                    )
+                raise LabelOutOfRange(f"label in row {r} is not finite: {cell!r}")
+            values[r, c] = value
+    labels = values[:, d].copy() if has_labels else None
+    if labels is not None and np.all(labels == np.floor(labels)):
+        labels = labels.astype(np.int64)
+    return Dataset(np.ascontiguousarray(values[:, :d]), labels)
+
+
+def _outcome(load, path):
+    """What a load gives: every value's bits and dtype or the error's identity,
+    and the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            data = load(path)
+        except InfoselectError as e:
+            result = type(e), str(e), getattr(e, "row", None), getattr(e, "col", None)
+        else:
+            arrays = (data.features,) if data.labels is None else (data.features, data.labels)
+            result = tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+    return result, [str(w.message) for w in caught]
+
+
+_CELL_TEXTS = ("nan", "inf", "-inf", "1_0", "0x10", "+1", ".5", "-0", "1.", " 2 ", "", "x")
+
+
+def _mutate(text: str, kind: str, r: int, c: int, cell: str) -> str:
+    """One change to a saved dataset's text; r and c pick the body row and cell."""
+    lines = text.split("\n")  # header, the body rows, then "" after the last newline
+    row = 1 + r % max(len(lines) - 2, 1)
+    cells = lines[row].split(",")
+    c %= len(cells)
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "cr after header":
+        return text.replace("\n", "\r", 1)
+    if kind == "no final newline":
+        return text.rstrip("\n")
+    if kind == "quoted header":
+        lines[0] = ",".join(f'"{name}"' for name in lines[0].split(","))
+    elif kind == "blank line":  # before any body row, or after the last one
+        lines.insert(1 + r % (len(lines) - 1), "")
+    elif kind == "ragged row":
+        del cells[c]
+    elif kind == "quoted cell":
+        cells[c] = f'"{cells[c]}"'
+    elif kind == "padded cells":
+        cells = [f" {cell}\t" for cell in cells]
+    elif kind == "cell text":
+        cells[c] = cell
+    if kind in ("ragged row", "quoted cell", "padded cells", "cell text"):
+        lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
+_MAGNITUDES = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(
+    [1e-320, -1e-320, 5e-324, -0.0, 1e300, -1e300, 1.0 / 3.0]
+)
+_MUTATIONS = ("none", "crlf", "cr after header", "quoted header", "no final newline",
+              "blank line", "ragged row", "quoted cell", "padded cells", "cell text")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(0, 5),
+    d=st.integers(1, 4),
+    labels=st.sampled_from(["none", "int", "float"]),
+    values=st.lists(_MAGNITUDES, min_size=25, max_size=25),
+    kind=st.sampled_from(_MUTATIONS),
+    r=st.integers(0, 10),
+    c=st.integers(0, 10),
+    cell=st.sampled_from(_CELL_TEXTS),
+)
+@example(n=0, d=2, labels="int", values=[0.0] * 25, kind="blank line", r=0, c=0, cell="")
+@example(n=3, d=2, labels="int", values=[0.5] * 25, kind="blank line", r=1, c=0, cell="")
+@example(n=3, d=2, labels="int", values=[0.5] * 25, kind="blank line", r=3, c=0, cell="")
+def test_load_csv_matches_the_cell_by_cell_reader(tmp_path, n, d, labels, values, kind, r, c, cell):
+    # values with their sign bits, the label dtype, every error's type,
+    # message and cell, and the warnings come out as the csv.reader and
+    # float() path gives them
+    features = np.array(values[: n * d]).reshape(n, d)
+    y = {"none": None, "int": np.arange(n) - 1, "float": np.array(values[-n:] if n else [])}
+    path = tmp_path / "d.csv"
+    save_csv(path, Dataset(features, y[labels]))
+    text = _mutate(path.read_text(encoding="utf-8"), kind, r, c, cell)
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_csv, path) == _outcome(_load_csv_cell_by_cell, path)
+
+
+def test_plain_files_load_in_one_pass(tmp_path, monkeypatch):
+    # a file in the save_csv layout, and the benchmark's dataset, never reach
+    # the cell-by-cell parse; a change that sends every file down it fails here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    saved, bench = tmp_path / "saved.csv", tmp_path / "bench.csv"
+    save_csv(saved, gen_synthetic(0, 50, 3, 4, 2.0))
+    workloads.write_dataset(bench, 0)
+
+    def refuse(*args):
+        raise AssertionError("the cell-by-cell parse ran")
+
+    monkeypatch.setattr(dataio, "_parse_cells", refuse)
+    for path in (saved, bench):
+        data = load_csv(path)
+        assert data.labels.dtype == np.int64 and data.n in (50, workloads.N_ROWS)
+
+
+def test_header_only_file_loads_without_a_warning(tmp_path, capsys):
+    # np.loadtxt warns on an empty input, and the CLI replays warnings to stderr
+    path = tmp_path / "d.csv"
+    path.write_text("f0,f1,y\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = load_csv(path)
+        assert data.features.shape == (0, 2) and data.labels.shape == (0,)
+        assert cli.main(["train", "--data", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "infoselect train: error: splits need 1280 rows, dataset has 0"
+    ]
 
 
 def test_gen_synthetic_balance_and_determinism():
@@ -647,6 +815,34 @@ def test_cli_usage_errors_exit_one(capsys):
         with pytest.raises(SystemExit) as e:
             cli.main(argv)
         assert e.value.code == 1
+
+
+def _parse_output(parse, argv, capsys):
+    """Exit code, stdout and stderr of one argparse run."""
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    out = capsys.readouterr()
+    return e.value.code, out.out, out.err
+
+
+def test_cli_help_and_usage_errors_match_the_all_flags_parser(capsys):
+    # main builds only the named command's flags; what argparse prints and
+    # the exit code stay those of the parser with every command's flags
+    def parse_all(argv):
+        cli.build_parser().parse_args(argv)
+
+    for argv in (
+        ["--help"],
+        *([name, "--help"] for name in cli._COMMANDS),
+        ["--seed", "0", "score"],
+        ["bogus"],
+        ["score", "--bogus"],
+        ["train", "--seed", "x"],
+    ):
+        expected = _parse_output(parse_all, argv, capsys)
+        assert _parse_output(cli.main, argv, capsys) == expected
+        assert expected[0] == (0 if "--help" in argv else 1)
+    assert "--mc-samples" in _parse_output(cli.main, ["score", "--help"], capsys)[1]
 
 
 def test_cli_config_and_io_errors_exit_one(tmp_path, capsys):
